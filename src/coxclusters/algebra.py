@@ -615,7 +615,7 @@ def specialize(s: Seed, hom: SemifieldMap) -> Seed:
                 out[key] = cnew
             else:
                 out.pop(key, None)
-        return LaurentPoly(ring, out)
+        return ring.from_terms(out)
 
     return Seed(
         ring=ring,

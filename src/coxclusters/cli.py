@@ -1,13 +1,19 @@
 """Command-line front end: info, verify, explore, and typea reports as JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 seed cap exceeded.  JSON output is canonically ordered and byte-stable
-across runs.
+3 seed cap exceeded, 4 internal error.  JSON output is canonically ordered
+and byte-stable across runs.
 
-For info, verify and explore, the seed cap is ``--cap`` if given, else the
-integer in the environment variable ``COXCLUSTERS_CAP`` if it is set and
-non-empty, else 100 000.  A ``COXCLUSTERS_CAP`` value that is not an integer
-is a usage error (exit 2).
+Only info, verify and explore take a seed cap.  It is ``--cap`` if given,
+else the integer in the environment variable ``COXCLUSTERS_CAP`` if it is
+set and non-empty, else 100 000.  A ``COXCLUSTERS_CAP`` value that is not an
+integer, or a cap below 1 from either source, is a usage error (exit 2).
+
+Exit 4 is an internal error: one of the engine's own consistency checks
+failed (``InternalCheckError``), a computed g-vector named no labelled
+weight (``KeyError``), or a Laurent exponent left the packed range of
+``poly`` (``OverflowError``).  It prints one line on stderr and no
+traceback.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .algebra import (
 from .cartan import CartanMatrix, InvalidCartanMatrix, cartan_from_matrix_text, cartan_from_text
 from .coxeter import (
     CoxeterElement,
+    InternalCheckError,
     InvalidCoxeterWord,
     all_coxeter_elements,
     b_matrix,
@@ -45,6 +52,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(ValueError):
@@ -75,14 +83,19 @@ def _parse_coxeter(m: CartanMatrix, spec: str) -> list[CoxeterElement]:
 
 def _default_cap(args) -> int:
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if env:
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_CAP
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise UsageError(f"bad {CAP_ENV_VAR} value {env!r}") from exc
-    return DEFAULT_CAP
+        source = CAP_ENV_VAR
+    if cap < 1:
+        raise UsageError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _emit(args, document) -> None:
@@ -313,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_typea = sub.add_parser("typea", help="tridiagonal relation report and polygon coefficients")
     p_typea.add_argument("--n", type=int, required=True)
-    p_typea.add_argument("--cap", type=int, default=None)
     p_typea.add_argument("--output", default=None)
     p_typea.add_argument("--format", choices=("json", "text"), default="json")
     p_typea.set_defaults(func=cmd_typea)
@@ -338,6 +350,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except (InternalCheckError, KeyError, OverflowError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -5,16 +5,98 @@ variable, any sign) to nonzero Python ints; all arithmetic is exact and
 arbitrary precision.  The canonical term order is lexicographic on exponent
 vectors, ascending for serialization and descending for division leading
 terms.
+
+Packed monomials.  Every exponent vector is stored as one Python int whose
+layout is fixed by the ring's slot count: one 16-bit field per slot, slot 0
+most significant.  A field holds the exponent plus a bias of 0x6000, so its
+two top bits, the guard bits, read ``01`` exactly when the exponent lies in
+[-8192, 8191].  With this layout:
+
+* the key of a product of monomials is ``a + b - one``, a single int
+  addition (``one`` is the key of the zero vector); no field carries into
+  its neighbour;
+* int order on keys equals lexicographic order on exponent vectors, so the
+  canonical order is ``sorted`` on ints and a leading term is ``max``;
+* one guard-bit test on a combination of keys checks every field at once.
+  An exponent outside the range raises ``OverflowError``; it never wraps.
+
+Each polynomial caches its exponent box, the packed per-slot minima and
+maxima of its terms.  The box of a product is exactly the sum of its
+factors' boxes, because the extreme faces of a product over ZZ cannot
+cancel, so a product is range-checked once, on its box, instead of term by
+term.  A sum without cancellation takes the fieldwise union of the boxes;
+any other box is computed from the terms when first needed.  Exact division
+bounds its quotient by [lo_p - lo_q, hi_p - hi_q].
+
+``terms`` is the tuple-keyed view, unpacked on first use.
 """
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
+
+_WIDTH = 16
+_GUARD = 0x4000  # a valid field lies in [_GUARD, 2 * _GUARD)
+_BIAS = 0x6000  # field = exponent + _BIAS
+EXP_MIN = _GUARD - _BIAS
+EXP_MAX = 2 * _GUARD - 1 - _BIAS
 
 
 class InexactDivision(ArithmeticError):
     """Laurent division left a nonzero remainder."""
+
+
+class _Layout:
+    """Packed-key constants for one slot count.
+
+    ``guard`` has the low guard bit of every field set and ``top`` both guard
+    bits, so a key is valid when ``key & top == guard``.  Every combination of
+    keys below keeps each field inside [0, 2**16), where such a test is exact.
+    """
+
+    __slots__ = ("nvars", "one", "guard", "top", "high", "shifts", "_struct")
+
+    def __init__(self, nvars: int):
+        ones = sum(1 << (_WIDTH * s) for s in range(nvars))
+        self.nvars = nvars
+        self.one = _BIAS * ones
+        self.guard = _GUARD * ones
+        self.top = 3 * _GUARD * ones
+        self.high = 2 * _GUARD * ones
+        self.shifts = tuple(_WIDTH * (nvars - 1 - s) for s in range(nvars))
+        self._struct = struct.Struct(f">{nvars}H")
+
+    def pack(self, exps: Sequence[int]) -> int:
+        if len(exps) != self.nvars:
+            raise ValueError("exponent vector length mismatch")
+        key = 0
+        for e in exps:
+            if not EXP_MIN <= e <= EXP_MAX:
+                raise OverflowError(f"exponent {e} outside the packed range [{EXP_MIN}, {EXP_MAX}]")
+            key = (key << _WIDTH) + e
+        return key + self.one
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        fields = self._struct.unpack(key.to_bytes(2 * self.nvars, "big"))
+        return tuple([f - _BIAS for f in fields])
+
+    def check(self, lo: int, hi: int) -> None:
+        """Raise unless every field of both keys is a valid exponent."""
+        if (lo & self.top) != self.guard or (hi & self.top) != self.guard:
+            raise OverflowError(f"exponent outside the packed range [{EXP_MIN}, {EXP_MAX}]")
+
+    def union(self, alo: int, ahi: int, blo: int, bhi: int) -> tuple[int, int]:
+        """Fieldwise min of the lows and max of the highs of two valid boxes."""
+        # Per field, a - b + 2*_GUARD lies in (_GUARD, 3*_GUARD), and its bit
+        # 15 is set exactly when a >= b; the masks are all ones in such fields.
+        high = self.high
+        lo_mask = (((blo - alo + high) & high) >> (_WIDTH - 1)) * 0xFFFF
+        hi_mask = (((ahi - bhi + high) & high) >> (_WIDTH - 1)) * 0xFFFF
+        return blo ^ ((alo ^ blo) & lo_mask), bhi ^ ((ahi ^ bhi) & hi_mask)
 
 
 @dataclass(frozen=True)
@@ -27,51 +109,126 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.names)
 
+    @cached_property
+    def layout(self) -> _Layout:
+        return _Layout(self.nvars)
+
     def zero(self) -> "LaurentPoly":
         return LaurentPoly(self, {})
 
     def one(self) -> "LaurentPoly":
-        return LaurentPoly(self, {(0,) * self.nvars: 1})
+        key = self.layout.one
+        return LaurentPoly(self, {key: 1}, key, key)
 
     def gen(self, i: int) -> "LaurentPoly":
-        return self.monomial({i: 1})
+        layout = self.layout
+        key = layout.one + (1 << layout.shifts[i])
+        return LaurentPoly(self, {key: 1}, key, key)
 
     def monomial(self, exps: Mapping[int, int] | Sequence[int], coef: int = 1) -> "LaurentPoly":
         if isinstance(exps, Mapping):
             vec = [0] * self.nvars
             for slot, e in exps.items():
                 vec[slot] = e
-            key = tuple(vec)
-        else:
-            key = tuple(exps)
-        if len(key) != self.nvars:
-            raise ValueError("exponent vector length mismatch")
-        return LaurentPoly(self, {key: coef} if coef else {})
+            exps = vec
+        key = self.layout.pack(tuple(exps))
+        if not coef:
+            return LaurentPoly(self, {})
+        return LaurentPoly(self, {key: coef}, key, key)
+
+    def from_terms(self, terms: Mapping[Sequence[int], int]) -> "LaurentPoly":
+        """Polynomial with the given exponent-vector coefficients; zeros are dropped."""
+        pack = self.layout.pack
+        return LaurentPoly(self, {pack(tuple(e)): c for e, c in terms.items() if c})
 
     def index(self, name: str) -> int:
         return self.names.index(name)
 
 
+class _Terms(Mapping):
+    """Read-only map from exponent tuples to coefficients over packed terms.
+
+    ``len`` reads the packed dict; the tuple keys are unpacked on the first
+    lookup or iteration and then kept.
+    """
+
+    __slots__ = ("_packed", "_layout", "_tuples")
+
+    def __init__(self, packed: dict, layout: _Layout):
+        self._packed = packed
+        self._layout = layout
+        self._tuples = None
+
+    def _unpacked(self) -> dict:
+        if self._tuples is None:
+            unpack = self._layout.unpack
+            self._tuples = {unpack(k): c for k, c in self._packed.items()}
+        return self._tuples
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __getitem__(self, exps):
+        return self._unpacked()[exps]
+
+    def __iter__(self):
+        return iter(self._unpacked())
+
+    def items(self):
+        return self._unpacked().items()
+
+
 class LaurentPoly:
-    """Immutable exact Laurent polynomial over a :class:`PolyRing`."""
+    """Immutable exact Laurent polynomial over a :class:`PolyRing`.
 
-    __slots__ = ("ring", "terms", "_key")
+    The constructor takes packed terms (and optionally the exact packed box);
+    build polynomials through the ring and arithmetic.
+    """
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    __slots__ = ("ring", "_t", "_lo", "_hi", "_key", "_terms")
+
+    def __init__(self, ring: PolyRing, packed: dict, lo: int | None = None,
+                 hi: int | None = None):
         self.ring = ring
-        self.terms = terms
+        self._t = packed
+        self._lo = lo
+        self._hi = hi
         self._key = None
+        self._terms = None
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """Coefficients by exponent tuple, read-only."""
+        if self._terms is None:
+            self._terms = _Terms(self._t, self.ring.layout)
+        return self._terms
+
+    def _box(self) -> tuple[int, int]:
+        """Packed per-slot minima and maxima of a nonzero polynomial."""
+        if self._lo is None:
+            layout = self.ring.layout
+            columns = list(zip(*map(layout.unpack, self._t)))
+            self._lo = layout.pack([min(col) for col in columns])
+            self._hi = layout.pack([max(col) for col in columns])
+        return self._lo, self._hi
 
     # -- canonical form -------------------------------------------------------
 
     def key(self) -> tuple:
-        """Sorted (exponent, coefficient) pairs; the canonical form and sort key."""
+        """Sorted (packed exponent, coefficient) pairs; the canonical form and sort key.
+
+        Within one ring, packed order is lexicographic exponent order.
+        """
         if self._key is None:
-            self._key = tuple(sorted(self.terms.items()))
+            self._key = tuple(sorted(self._t.items()))
         return self._key
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return (
+            isinstance(other, LaurentPoly)
+            and self.ring.nvars == other.ring.nvars
+            and self._t == other._t
+        )
 
     def __hash__(self) -> int:
         return hash(self.key())
@@ -80,13 +237,14 @@ class LaurentPoly:
         return f"<LaurentPoly {self}>"
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
         names = self.ring.names
+        unpack = self.ring.layout.unpack
         parts = []
-        for exps, coef in self.key():
+        for key, coef in self.key():
             factors = []
-            for name, e in zip(names, exps):
+            for name, e in zip(names, unpack(key)):
                 if e == 1:
                     factors.append(name)
                 elif e != 0:
@@ -102,25 +260,26 @@ class LaurentPoly:
     # -- structure --------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.ring.nvars: 1}
+        return self._t == {self.ring.layout.one: 1}
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._t) == 1
 
     def monomial_exps(self) -> tuple[int, ...]:
-        (exps,) = self.terms
-        return exps
+        (key,) = self._t
+        return self.ring.layout.unpack(key)
 
     def constant_coefficient(self) -> int:
-        return self.terms.get((0,) * self.ring.nvars, 0)
+        return self._t.get(self.ring.layout.one, 0)
 
     def min_exponent(self, slot: int) -> int:
-        if not self.terms:
+        if not self._t:
             raise ValueError("zero polynomial has no exponents")
-        return min(e[slot] for e in self.terms)
+        lo, _ = self._box()
+        return ((lo >> self.ring.layout.shifts[slot]) & 0xFFFF) - _BIAS
 
     def degrees(self, slot_degrees: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
         """Multi-degrees of all terms under the given per-slot degree vectors."""
@@ -138,45 +297,68 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            c = out.get(exps, 0) + coef
+        if not other._t:
+            return self
+        if not self._t:
+            return other
+        out = dict(self._t)
+        get = out.get
+        cancelled = False
+        for k, coef in other._t.items():
+            c = get(k, 0) + coef
             if c:
-                out[exps] = c
+                out[k] = c
             else:
-                out.pop(exps, None)
-        return LaurentPoly(self.ring, out)
+                del out[k]
+                cancelled = True
+        if cancelled or self._lo is None or other._lo is None:
+            return LaurentPoly(self.ring, out)
+        lo, hi = self.ring.layout.union(self._lo, self._hi, other._lo, other._hi)
+        return LaurentPoly(self.ring, out, lo, hi)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly(self.ring, {k: -c for k, c in self._t.items()}, self._lo, self._hi)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = (self, other) if len(self.terms) <= len(other.terms) else (other, self)
-        out: dict = {}
-        get = out.get
-        items = list(b.terms.items())
-        for ea, ca in a.terms.items():
-            for eb, cb in items:
-                key = tuple(map(int.__add__, ea, eb))
-                c = get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        return LaurentPoly(self.ring, out)
+        a, b = (self, other) if len(self._t) <= len(other._t) else (other, self)
+        if not a._t:
+            return LaurentPoly(self.ring, {})
+        layout = self.ring.layout
+        one = layout.one
+        alo, ahi = a._box()
+        blo, bhi = b._box()
+        lo = alo + blo - one
+        hi = ahi + bhi - one
+        layout.check(lo, hi)
+        if len(a._t) == 1:
+            ((ka, ca),) = a._t.items()
+            d = ka - one
+            if ca == 1:
+                out = {k + d: c for k, c in b._t.items()}
+            else:
+                out = {k + d: c * ca for k, c in b._t.items()}
+            return LaurentPoly(self.ring, out, lo, hi)
+        acc: dict = {}
+        get = acc.get
+        items = [(k - one, c) for k, c in b._t.items()]
+        for ka, ca in a._t.items():
+            for kb, cb in items:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+        return LaurentPoly(self.ring, {k: c for k, c in acc.items() if c}, lo, hi)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             if not self.is_monomial():
                 raise InexactDivision("negative power of a non-monomial")
-            exps = self.monomial_exps()
-            coef = self.terms[exps]
+            ((key, coef),) = self._t.items()
             if abs(coef) != 1:
                 raise InexactDivision("negative power of a non-unit coefficient")
-            return LaurentPoly(self.ring, {tuple(e * k for e in exps): coef ** (k & 1 or 2)})
+            exps = self.ring.layout.unpack(key)
+            return self.ring.monomial(tuple(e * k for e in exps), coef ** (k & 1 or 2))
         result = self.ring.one()
         base = self
         while k:
@@ -188,58 +370,77 @@ class LaurentPoly:
         return result
 
     def shift(self, delta: Sequence[int]) -> "LaurentPoly":
-        delta = tuple(delta)
-        return LaurentPoly(
-            self.ring, {tuple(map(int.__add__, e, delta)): c for e, c in self.terms.items()}
-        )
+        """Multiply by the monomial with exponent vector ``delta``."""
+        if not self._t:
+            return self
+        layout = self.ring.layout
+        lo, hi = self._box()
+        new_lo = layout.pack([a + e for a, e in zip(layout.unpack(lo), delta, strict=True)])
+        new_hi = layout.pack([a + e for a, e in zip(layout.unpack(hi), delta, strict=True)])
+        d = new_lo - lo
+        return LaurentPoly(self.ring, {k + d: c for k, c in self._t.items()}, new_lo, new_hi)
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact Laurent division; raises :class:`InexactDivision` otherwise.
 
-        Both operands are shifted into the polynomial range, then reduced by
-        leading-term elimination against the single divisor; with a single
-        divisor this detects divisibility exactly.
+        Leading-term elimination against the single divisor, which detects
+        divisibility exactly.  An exact quotient lies in the box
+        [lo_p - lo_q, hi_p - hi_q]; a leading quotient monomial outside it
+        means a nonzero remainder.
         """
-        if divisor.is_zero():
+        q = divisor._t
+        if not q:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self._t:
             return self
-        nv = self.ring.nvars
-        if divisor.is_monomial():
-            dexps = divisor.monomial_exps()
-            dcoef = divisor.terms[dexps]
+        layout = self.ring.layout
+        one, guard = layout.one, layout.guard
+        plo, phi = self._box()
+        if len(q) == 1:
+            ((qk, qc),) = q.items()
+            d = one - qk
+            lo, hi = plo + d, phi + d
+            layout.check(lo, hi)
             out = {}
-            for e, c in self.terms.items():
-                if c % dcoef:
+            for k, c in self._t.items():
+                if c % qc:
                     raise InexactDivision("coefficient not divisible")
-                out[tuple(map(int.__sub__, e, dexps))] = c // dcoef
-            return LaurentPoly(self.ring, out)
-        shift_p = tuple(-min(e[s] for e in self.terms) for s in range(nv))
-        shift_q = tuple(-min(e[s] for e in divisor.terms) for s in range(nv))
-        rem = {tuple(map(int.__add__, e, shift_p)): c for e, c in self.terms.items()}
-        q_items = [(tuple(map(int.__add__, e, shift_q)), c) for e, c in divisor.terms.items()]
-        q_lead = max(e for e, _ in q_items)
-        q_lc = dict(q_items)[q_lead]
-        quotient: dict = {}
+                out[k + d] = c // qc
+            return LaurentPoly(self.ring, out, lo, hi)
+        # Every field below stays in [0, 2**16): a difference of two exponents
+        # from one box is smaller than 2*_GUARD in absolute value.
+        qlo, qhi = divisor._box()
+        lo = plo - qlo + one
+        hi = phi - qhi + one
+        if ((hi - lo + guard) & layout.top) != guard:
+            raise InexactDivision("empty quotient box")
+        layout.check(lo, hi)
+        q_lead = max(q)
+        q_lc = q[q_lead]
+        offsets = [(k - q_lead, c) for k, c in q.items()]
+        # For a remainder leading term r, the quotient monomial is
+        # r - q_lead + one.  Per field, r - below is (monomial - lo) + _GUARD
+        # and above - r is (hi - monomial) + _GUARD, both in (0, 2*_GUARD).
+        below = q_lead + lo - one - guard
+        above = hi + q_lead - one + guard
+        rem = dict(self._t)
+        get = rem.get
+        quotient = {}
         while rem:
-            r_lead = max(rem)
-            r_lc = rem[r_lead]
-            mono = tuple(map(int.__sub__, r_lead, q_lead))
-            if any(x < 0 for x in mono) or r_lc % q_lc:
+            r = max(rem)
+            r_lc = rem[r]
+            if ((r - below) & (above - r) & guard) != guard or r_lc % q_lc:
                 raise InexactDivision("nonzero remainder")
             co = r_lc // q_lc
-            quotient[mono] = co
-            for qe, qc in q_items:
-                key = tuple(map(int.__add__, qe, mono))
-                c = rem.get(key, 0) - co * qc
+            quotient[r - q_lead + one] = co
+            for dk, qc in offsets:
+                k = r + dk
+                c = get(k, 0) - co * qc
                 if c:
-                    rem[key] = c
+                    rem[k] = c
                 else:
-                    rem.pop(key, None)
-        back = tuple(q - p for p, q in zip(shift_p, shift_q))
-        return LaurentPoly(
-            self.ring, {tuple(map(int.__add__, e, back)): c for e, c in quotient.items()}
-        )
+                    del rem[k]
+        return LaurentPoly(self.ring, quotient, lo, hi)
 
     # -- reinterpretation -----------------------------------------------------------
 
@@ -247,14 +448,15 @@ class LaurentPoly:
         """Set every dropped slot to 1 and reindex the kept slots into ``ring``."""
         if len(keep) != ring.nvars:
             raise ValueError("kept slot count must match target ring")
+        pack = ring.layout.pack
         out: dict = {}
         for exps, coef in self.terms.items():
-            key = tuple(exps[s] for s in keep)
+            key = pack(tuple([exps[s] for s in keep]))
             c = out.get(key, 0) + coef
             if c:
                 out[key] = c
             else:
-                out.pop(key, None)
+                del out[key]
         return LaurentPoly(ring, out)
 
     def evaluate(self, values: Sequence["LaurentPoly"], ring: PolyRing) -> "LaurentPoly":
@@ -271,10 +473,3 @@ class LaurentPoly:
                     term = term * val ** e
             total = total + term
         return total
-
-
-def poly_sum(ring: PolyRing, polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    total = ring.zero()
-    for p in polys:
-        total = total + p
-    return total

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import PiLabel
-from .poly import LaurentPoly, PolyRing
+from .poly import InexactDivision, LaurentPoly, PolyRing
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +152,7 @@ def verify_exchange_relations(n: int) -> tuple[RelationCheck, ...]:
                         try:
                             diff.exact_div(det_minus_one)
                             ok = True
-                        except ArithmeticError:
+                        except InexactDivision:
                             ok = False
                     out.append(RelationCheck(quadruple=(i, j, k, l), ok=ok))
     return tuple(out)

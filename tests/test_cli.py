@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from coxclusters.cli import main
+from coxclusters.coxeter import InternalCheckError
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -122,3 +123,36 @@ def test_coxeter_all_enumerates_orientations(capsys):
     assert main(["explore", "--type", "A3", "--coxeter", "all"]) == 0
     docs = json.loads(capsys.readouterr().out)
     assert isinstance(docs, list) and len(docs) == 4
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_below_one_is_usage_error(cap, monkeypatch, capsys):
+    argv = ["explore", "--type", "A2", "--coxeter", "1,2"]
+    assert main([*argv, "--cap", cap]) == 2
+    assert capsys.readouterr().err == f"error: --cap must be at least 1, got {cap}\n"
+    monkeypatch.setenv("COXCLUSTERS_CAP", cap)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: COXCLUSTERS_CAP must be at least 1, got {cap}\n"
+
+
+def test_typea_takes_no_cap(capsys):
+    assert main(["typea", "--n", "2", "--cap", "1"]) == 2
+    assert "unrecognized arguments: --cap 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, exc",
+    [
+        ("coxclusters.cli.h_vector", InternalCheckError("injected")),
+        ("coxclusters.algebra.weight_label", KeyError((1, 0))),
+        ("coxclusters.cli.explore", OverflowError("injected")),
+    ],
+)
+def test_internal_error_exit_code(target, exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(target, fail)
+    assert main(["info", "--type", "A2", "--coxeter", "1,2"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"

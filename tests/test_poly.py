@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxclusters import InexactDivision, PolyRing
+from coxclusters.poly import EXP_MAX, EXP_MIN
 
 
 @pytest.fixture
@@ -91,3 +94,102 @@ def test_project_and_evaluate():
     values = [ring.monomial((1, 0)), ring.monomial((0, 1), 1) + ring.one()]
     composed = p.evaluate(values, ring)
     assert composed == ring.monomial((2, 0)) * (ring.gen(1) + ring.one()) + ring.gen(0) + ring.one()
+
+
+# -- properties against a tuple-keyed reference model --------------------------------
+
+PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+RING = PolyRing(("x1", "x2", "y1"))
+EXPS = st.tuples(*[st.integers(-4, 4)] * RING.nvars)
+MODELS = st.dictionaries(EXPS, st.integers(-6, 6).filter(bool), max_size=6)
+
+
+def model_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def model_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+@PROPS
+@given(MODELS, MODELS)
+def test_sum_and_product_match_model(a, b):
+    p, q = RING.from_terms(a), RING.from_terms(b)
+    assert (p + q).terms == model_add(a, b)
+    assert (p - q).terms == model_add(a, {e: -c for e, c in b.items()})
+    assert (p * q).terms == model_mul(a, b)
+    assert (p * q).is_zero() == (not model_mul(a, b))
+
+
+@PROPS
+@given(MODELS, MODELS, MODELS)
+def test_ring_axioms(a, b, c):
+    p, q, r = (RING.from_terms(m) for m in (a, b, c))
+    zero, one = RING.zero(), RING.one()
+    assert p + q == q + p and p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert p + zero == p and p * one == p and (p * zero).is_zero()
+    assert (p + (-p)).is_zero()
+    assert p ** 2 == p * p and p ** 0 == one
+
+
+@PROPS
+@given(MODELS, MODELS.filter(bool))
+def test_product_divides_back(a, b):
+    p, q = RING.from_terms(a), RING.from_terms(b)
+    assert (p * q).exact_div(q) == p
+
+
+@PROPS
+@given(MODELS, MODELS.filter(bool), EXPS, st.integers(-6, 6).filter(bool))
+def test_perturbed_product_division(a, b, e, c):
+    """p*q + c*x^e is divisible by q exactly when c*x^e is: q must be a
+    monomial whose coefficient divides c, since the units are +-x^a."""
+    p, q = RING.from_terms(a), RING.from_terms(b)
+    perturbed = p * q + RING.monomial(e, c)
+    if len(b) == 1 and c % next(iter(b.values())) == 0:
+        assert perturbed.exact_div(q) * q == perturbed
+    else:
+        with pytest.raises(InexactDivision):
+            perturbed.exact_div(q)
+
+
+@PROPS
+@given(MODELS, MODELS)
+def test_key_order_is_sorted_tuple_order(a, b):
+    p, q = RING.from_terms(a), RING.from_terms(b)
+    unpack = RING.layout.unpack
+    assert [(unpack(k), c) for k, c in p.key()] == sorted(a.items())
+    assert (p.key() < q.key()) == (sorted(a.items()) < sorted(b.items()))
+    assert (p == q) == (a == b)
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+def test_exponent_beyond_layout_raises(ring):
+    x1 = ring.gen(0)
+    assert ring.monomial((EXP_MAX, EXP_MIN, 0)).monomial_exps() == (EXP_MAX, EXP_MIN, 0)
+    for exps in ((EXP_MAX + 1, 0, 0), (0, EXP_MIN - 1, 0)):
+        with pytest.raises(OverflowError):
+            ring.monomial(exps)
+    top = x1 ** EXP_MAX
+    with pytest.raises(OverflowError):
+        top * x1
+    with pytest.raises(OverflowError):
+        (top + ring.gen(1)) * (x1 + ring.one())
+    with pytest.raises(OverflowError):
+        (x1 ** EXP_MIN).exact_div(x1)
+    with pytest.raises(OverflowError):
+        top.shift((1, 0, 0))
+    assert (top * x1 ** -1).exact_div(top) == x1 ** -1
