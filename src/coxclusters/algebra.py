@@ -23,8 +23,8 @@ from .coxeter import (
     b_matrix,
     compatibility_degree,
     cyclical_move,
+    denominator,
     h_vector,
-    label_weight,
     pi_set,
     precedes,
     tau,
@@ -32,7 +32,7 @@ from .coxeter import (
     weight_label,
 )
 from .poly import InexactDivision, LaurentPoly, PolyRing
-from .weyl import Root, Weight, weight_as_root
+from .weyl import Root, Weight
 
 DEFAULT_CAP = 100_000
 
@@ -419,19 +419,7 @@ def check_separation(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRec
 
 def denominator_label_map(m: CartanMatrix, c: CoxeterElement) -> dict:
     """Map denominator vectors to labels (injective away from the initial cluster)."""
-    out = {}
-    for lab, w in pi_set(m, c):
-        if lab.m == 0:
-            d = [0] * m.n
-            d[lab.i] = -1
-            out[tuple(d)] = lab
-        else:
-            prev = label_weight(m, c, PiLabel(lab.i, lab.m - 1))
-            diff = weight_as_root(m, prev - w)
-            if diff is None:
-                raise InternalCheckError("denominator not in root lattice")
-            out[diff.d] = lab
-    return out
+    return {denominator(m, c, lab).d: lab for lab, _ in pi_set(m, c)}
 
 
 def label_variables(

@@ -49,12 +49,6 @@ class CartanMatrix:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.n) if j != i and self.a[i][j] != 0)
 
-    def component_of(self, i: int) -> tuple[int, ...]:
-        for comp in self.components:
-            if i in comp:
-                return comp
-        raise IndexError(i)
-
     def transpose(self) -> "CartanMatrix":
         return validate([[self.a[j][i] for j in range(self.n)] for i in range(self.n)])
 
@@ -239,6 +233,11 @@ def direct_sum(m1: CartanMatrix, m2: CartanMatrix) -> CartanMatrix:
 
 
 _LABEL_RE = re.compile(r"^([A-Ga-g])(\d+)$")
+
+
+def is_type_label(spec: str) -> bool:
+    """True when ``spec`` has the syntax of a type label such as ``"A2xA1"``."""
+    return all(_LABEL_RE.match(part.strip()) for part in spec.split("x"))
 
 
 def cartan_from_text(spec: str) -> CartanMatrix:

@@ -37,8 +37,8 @@ from .coxeter import (
     component_coxeter_number,
     coxeter_number,
     cyclical_move,
+    denominator,
     h_vector,
-    label_weight,
     move_graph,
     pi_set,
     precedes,
@@ -48,8 +48,6 @@ from .coxeter import (
     root_compat,
     sources,
     tau,
-    tau_inverse,
-    weight_as_root,
 )
 from .weyl import Root, apply_word, simple_root
 
@@ -319,6 +317,23 @@ def move_transport(m: CartanMatrix, c: CoxeterElement, source: int) -> list[Chec
 # -- engine vs closed formulas ---------------------------------------------------
 
 
+def harvest_relations(graph: ExchangeGraph, labels) -> set:
+    """The primitive exchange relations of an explored graph, each as
+    (sorted label pair, sorted sides), with every variable id replaced by its
+    label in ``labels``."""
+    harvested = set()
+    for rel in graph.primitive_relations():
+        pair = tuple(sorted((labels[rel.pair[0]], labels[rel.pair[1]])))
+        sides = tuple(
+            sorted(
+                (coef, tuple(sorted((labels[v], mult) for v, mult in vars_)))
+                for coef, vars_ in rel.sides
+            )
+        )
+        harvested.add((pair, sides))
+    return harvested
+
+
 @lru_cache(maxsize=None)
 def _explored(m: CartanMatrix, c: CoxeterElement, cap: int) -> ExchangeGraph:
     return explore(principal_seed(m, c), cap=cap)
@@ -357,14 +372,11 @@ def engine_against_formulas(
 
     denom_ok = True
     zero_ok = True
-    label_to_idx = {r.label: i for i, r in enumerate(records)}
     cluster_sets = [frozenset(records[v].label for v in s.var_ids) for s in graph.seeds]
     for r in records:
         if r.label.m == 0:
             continue
-        prev = label_weight(m, c, PiLabel(r.label.i, r.label.m - 1))
-        diff = weight_as_root(m, prev - label_weight(m, c, r.label))
-        if diff is None or r.denom != diff or not r.denom.is_nonnegative():
+        if r.denom != denominator(m, c, r.label) or not r.denom.is_nonnegative():
             denom_ok = False
         for i in range(m.n):
             shares = any(
@@ -381,16 +393,7 @@ def engine_against_formulas(
     sep_ok = all(check_separation(m, c, r, graph.ring) for r in records)
     out.append(_result("engine/separation-identity", name, sep_ok))
 
-    harvested = set()
-    for rel in graph.primitive_relations():
-        pair = tuple(sorted((records[rel.pair[0]].label, records[rel.pair[1]].label)))
-        sides = tuple(
-            sorted(
-                (coef, tuple(sorted((records[v].label, mult) for v, mult in vars_)))
-                for coef, vars_ in rel.sides
-            )
-        )
-        harvested.add((pair, sides))
+    harvested = harvest_relations(graph, [r.label for r in records])
     closed = set()
     for pr in primitive_relations(m, c):
         const_side = (pr.constant_coef, ())
@@ -441,16 +444,7 @@ def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> 
     useed = universal_seed(m, c)
     graph = explore(useed, cap=cap)
     labels = label_variables(m, c, graph)
-    harvested = set()
-    for rel in graph.primitive_relations():
-        pair = tuple(sorted((labels[rel.pair[0]], labels[rel.pair[1]])))
-        sides = tuple(
-            sorted(
-                (coef, tuple(sorted((labels[v], mult) for v, mult in vars_)))
-                for coef, vars_ in rel.sides
-            )
-        )
-        harvested.add((pair, sides))
+    harvested = harvest_relations(graph, labels)
     closed = {(lr.pair, lr.sides) for lr in universal_primitive_relations(m, c)}
     out.append(_result("universal/primitive-relations-match", name, harvested == closed))
 

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 seed cap exceeded, 4 internal error.  JSON output is canonically ordered
 and byte-stable across runs.
 
+``--type`` is a type label (``A3``, ``D4``, ``A2xA1``) whenever it has the
+syntax of one, even if a file of that name exists; anything else is read as
+a matrix file, so ``./A3`` names the file ``A3``.  A file that cannot be
+read or parsed is a usage error (exit 2), and so is an ``--output`` path
+that cannot be written.
+
 Only info, verify and explore take a seed cap.  It is ``--cap`` if given,
 else the integer in the environment variable ``COXCLUSTERS_CAP`` if it is
 set and non-empty, else 100 000.  A ``COXCLUSTERS_CAP`` value that is not an
@@ -32,7 +38,13 @@ from .algebra import (
     principal_seed,
     records_for,
 )
-from .cartan import CartanMatrix, InvalidCartanMatrix, cartan_from_matrix_text, cartan_from_text
+from .cartan import (
+    CartanMatrix,
+    InvalidCartanMatrix,
+    cartan_from_matrix_text,
+    cartan_from_text,
+    is_type_label,
+)
 from .coxeter import (
     CoxeterElement,
     InternalCheckError,
@@ -60,11 +72,10 @@ class UsageError(ValueError):
 
 
 def _load_cartan(type_spec: str) -> CartanMatrix:
-    path = Path(type_spec)
     try:
-        if path.suffix or path.exists():
-            return cartan_from_matrix_text(path.read_text())
-        return cartan_from_text(type_spec)
+        if is_type_label(type_spec):
+            return cartan_from_text(type_spec)
+        return cartan_from_matrix_text(Path(type_spec).read_text())
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot load Cartan data from {type_spec!r}: {exc}") from exc
 
@@ -104,7 +115,10 @@ def _emit(args, document) -> None:
     else:
         text = _render_text(document) + "\n"
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -129,36 +143,20 @@ def _render_text(document, indent: int = 0) -> str:
     return f"{pad}{document}"
 
 
-def _label_json(label) -> dict:
-    return {"i": label.i + 1, "m": label.m}
+def _record_json(rec) -> dict:
+    return {
+        "label": {"i": rec.label.i + 1, "m": rec.label.m},
+        "g": list(rec.g.g),
+        "denom": list(rec.denom.d),
+        "f_polynomial": str(rec.fpoly),
+    }
 
 
 def _info_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
     h, star = h_vector(m, c)
     graph = explore(principal_seed(m, c), cap=_default_cap(args))
     records = records_for(m, c, graph)
-    standard_a = (
-        len(m.components) == 1
-        and m.a == tuple(
-            tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(m.n))
-            for i in range(m.n)
-        )
-        and c.order == tuple(range(m.n))
-    )
-    variables = []
-    for rec in sorted(records, key=lambda r: (r.label.i, r.label.m)):
-        if standard_a:
-            fpoly = typea.f_poly_via_matrix(m.n, rec.label)
-        else:
-            fpoly = rec.fpoly
-        variables.append(
-            {
-                "label": _label_json(rec.label),
-                "g": list(rec.g.g),
-                "denom": list(rec.denom.d),
-                "f_polynomial": str(fpoly),
-            }
-        )
+    variables = [_record_json(rec) for rec in sorted(records, key=lambda r: r.label)]
     label_names = {rec.label: f"{rec.label.i + 1}.{rec.label.m}" for rec in records}
     cluster_family = [
         sorted(label_names[lab] for lab in cl) for cl in clusters(m, c)
@@ -249,14 +247,8 @@ def cmd_explore(args) -> int:
                 "edges": len(graph.edges),
                 "variables": len(graph.variables),
                 "records": [
-                    {
-                        "label": _label_json(rec.label),
-                        "g": list(rec.g.g),
-                        "denom": list(rec.denom.d),
-                        "f_polynomial": str(rec.fpoly),
-                        "expansion": str(rec.expansion),
-                    }
-                    for rec in sorted(records, key=lambda r: (r.label.i, r.label.m))
+                    {**_record_json(rec), "expansion": str(rec.expansion)}
+                    for rec in sorted(records, key=lambda r: r.label)
                 ],
             }
         )
@@ -303,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_coxeter=True):
         p.add_argument("--type", required=True,
-                       help="type label like A3, D4, A2xA1, or a matrix file path")
+                       help="type label like A3, D4, A2xA1, or else a matrix file path "
+                            "(a label always wins: write ./A3 for a file named A3)")
         if with_coxeter:
             p.add_argument("--coxeter", default="bipartite",
                            help="comma-separated 1-based word, 'bipartite', or 'all'")

@@ -6,9 +6,9 @@ the lexicographically smallest topological order, so equality of
 :class:`CoxeterElement` values is equality of orientations.
 
 All per-element derived data (exchange matrix, iteration counts ``h``, the
-star involution, the weight family Pi, its rotation ``tau``, and the first
-root family ``beta``) is computed once and cached; the cache is safe for
-concurrent readers.
+star involution, the weight family Pi with its denominator vectors, its
+rotation ``tau``, and the first root family ``beta``) is computed once and
+cached; the cache is safe for concurrent readers.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
-import networkx as nx
-
-from .cartan import CartanMatrix, bipartition
+from .cartan import CartanMatrix, _graph_components, bipartition
 from .weyl import (
     Root,
     Weight,
@@ -64,18 +62,14 @@ class PiLabel:
     m: int
 
 
-def _canonical_order(m: CartanMatrix, word: Iterable[int]) -> tuple[int, ...]:
-    word = tuple(word)
-    if sorted(word) != list(range(m.n)):
-        raise InvalidCoxeterWord(f"{word!r} is not a permutation of 0..{m.n - 1}")
-    pos = {i: p for p, i in enumerate(word)}
-    succ: dict[int, list[int]] = {i: [] for i in range(m.n)}
-    indeg = [0] * m.n
-    for i, j in m.edges():
-        src, dst = (i, j) if pos[i] < pos[j] else (j, i)
+def _lex_topological_order(n: int, arcs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Lexicographically smallest topological order of an acyclic orientation on 0..n-1."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for src, dst in arcs:
         succ[src].append(dst)
         indeg[dst] += 1
-    heap = [i for i in range(m.n) if indeg[i] == 0]
+    heap = [i for i in range(n) if indeg[i] == 0]
     heapq.heapify(heap)
     out: list[int] = []
     while heap:
@@ -86,6 +80,16 @@ def _canonical_order(m: CartanMatrix, word: Iterable[int]) -> tuple[int, ...]:
             if indeg[w] == 0:
                 heapq.heappush(heap, w)
     return tuple(out)
+
+
+def _canonical_order(m: CartanMatrix, word: Iterable[int]) -> tuple[int, ...]:
+    word = tuple(word)
+    if sorted(word) != list(range(m.n)):
+        raise InvalidCoxeterWord(f"{word!r} is not a permutation of 0..{m.n - 1}")
+    pos = {i: p for p, i in enumerate(word)}
+    return _lex_topological_order(
+        m.n, ((i, j) if pos[i] < pos[j] else (j, i) for i, j in m.edges())
+    )
 
 
 def coxeter_element(m: CartanMatrix, word: Iterable[int]) -> CoxeterElement:
@@ -129,29 +133,15 @@ def b_matrix(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
 class _CoxeterData:
     """Derived tables for one (CartanMatrix, CoxeterElement) pair.
 
-    The rotation chains are computed eagerly; the labelled-weight tables and
-    the first root family only on demand.
+    The rotation chains, with their weights and denominators, are computed
+    eagerly; the label lookup and the first root family only on demand.
     """
 
     def __init__(self, m: CartanMatrix, c: CoxeterElement):
         self.m = m
         self.c = c
-        self.h, self.star = self._iterate_chains()
-        self.labels: tuple[PiLabel, ...] = tuple(
-            PiLabel(i, k) for i in range(m.n) for k in range(self.h[i] + 1)
-        )
-
-    @cached_property
-    def weight_of(self) -> dict[PiLabel, Weight]:
-        m, c, n = self.m, self.c, self.m.n
-        table: dict[PiLabel, Weight] = {}
-        for i in range(n):
-            w = fundamental_weight(n, i)
-            table[PiLabel(i, 0)] = w
-            for k in range(1, self.h[i] + 1):
-                w = apply_word(m, c.order, w)
-                table[PiLabel(i, k)] = w
-        return table
+        self.h, self.star, self.weight_of, self.denominator = self._iterate_chains()
+        self.labels: tuple[PiLabel, ...] = tuple(self.weight_of)
 
     @cached_property
     def label_of(self) -> dict[tuple[int, ...], PiLabel]:
@@ -166,12 +156,21 @@ class _CoxeterData:
     def betas(self) -> tuple[Root, ...]:
         return self._beta_roots()
 
-    def _iterate_chains(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _iterate_chains(self):
+        """h, star, and the weight and denominator of every label, in label order.
+
+        The denominator of (i, 0) is -alpha_i, that of (i, k) the positive
+        root weight(i, k - 1) - weight(i, k).
+        """
         m, c, n = self.m, self.c, self.m.n
         bound = max(coxeter_number(m)) + 1
         h, star = [0] * n, [0] * n
+        weight_of: dict[PiLabel, Weight] = {}
+        denominator: dict[PiLabel, Root] = {}
         for i in range(n):
             w = fundamental_weight(n, i)
+            weight_of[PiLabel(i, 0)] = w
+            denominator[PiLabel(i, 0)] = -simple_root(n, i)
             for step in range(1, bound + 1):
                 nxt = apply_word(m, c.order, w)
                 diff = weight_as_root(m, w - nxt)
@@ -180,13 +179,15 @@ class _CoxeterData:
                         f"rotation chain of weight {i} not strictly decreasing at step {step}"
                     )
                 w = nxt
+                weight_of[PiLabel(i, step)] = w
+                denominator[PiLabel(i, step)] = diff
                 neg = [k for k in range(n) if w.g[k] != 0]
                 if len(neg) == 1 and w.g[neg[0]] == -1:
                     h[i], star[i] = step, neg[0]
                     break
             else:
                 raise InternalCheckError(f"rotation chain of weight {i} exceeded order bound")
-        return tuple(h), tuple(star)
+        return tuple(h), tuple(star), weight_of, denominator
 
     def _beta_roots(self) -> tuple[Root, ...]:
         m, order, n = self.m, self.c.order, self.m.n
@@ -258,6 +259,12 @@ def weight_label(m: CartanMatrix, c: CoxeterElement, w: Weight) -> PiLabel:
     return _data(m, c).label_of[w.g]
 
 
+def denominator(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> Root:
+    """Denominator vector of a label: -alpha_i for (i, 0), else (one backward
+    rotation of the weight) minus the weight, in simple-root coordinates."""
+    return _data(m, c).denominator[label]
+
+
 def tau(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> PiLabel:
     """Rotation permutation of the label set: one more application of c, wrapping at the end."""
     data = _data(m, c)
@@ -301,29 +308,46 @@ def compatibility_degree(
         raise InternalCheckError("rotation orbit missed every fundamental weight")
     if delta.m == 0:
         return 0
-    w = data.weight_of[delta]
-    prev = data.weight_of[tau_inverse(m, c, delta)]
-    diff = weight_as_root(m, prev - w)
-    if diff is None:
-        raise InternalCheckError("weight difference not in the root lattice")
-    return diff.d[gamma.i]
+    return data.denominator[delta].d[gamma.i]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def clusters(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, ...], ...]:
-    """All maximal pairwise-compatible label sets; each must have exactly n elements."""
-    data = _data(m, c)
-    graph = nx.Graph()
-    graph.add_nodes_from(data.labels)
-    for a, b in itertools.combinations(data.labels, 2):
-        if compatibility_degree(m, c, a, b) == 0 and compatibility_degree(m, c, b, a) == 0:
-            graph.add_edge(a, b)
+    """All maximal pairwise-compatible label sets; each must have exactly n elements.
+
+    Bron-Kerbosch with pivoting on the compatibility graph, vertex sets as
+    bitmasks over the label order.
+    """
+    labels = _data(m, c).labels
+    nbrs = [0] * len(labels)
+    for a, b in itertools.combinations(range(len(labels)), 2):
+        la, lb = labels[a], labels[b]
+        if compatibility_degree(m, c, la, lb) == 0 and compatibility_degree(m, c, lb, la) == 0:
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
     result = []
-    for clique in nx.find_cliques(graph):
-        if len(clique) != m.n:
-            raise InternalCheckError(
-                f"maximal compatible set of size {len(clique)} != rank {m.n}"
-            )
-        result.append(tuple(sorted(clique)))
+
+    def expand(clique: int, cand: int, excl: int) -> None:
+        if not cand | excl:
+            if clique.bit_count() != m.n:
+                raise InternalCheckError(
+                    f"maximal compatible set of size {clique.bit_count()} != rank {m.n}"
+                )
+            result.append(tuple(labels[v] for v in _bits(clique)))
+            return
+        pivot = max(_bits(cand | excl), key=lambda u: (cand & nbrs[u]).bit_count())
+        for v in _bits(cand & ~nbrs[pivot]):
+            expand(clique | 1 << v, cand & nbrs[v], excl & nbrs[v])
+            cand &= ~(1 << v)
+            excl |= 1 << v
+
+    expand(0, (1 << len(labels)) - 1, 0)
     return tuple(sorted(result))
 
 
@@ -343,12 +367,11 @@ class MoveGraph:
     edges: tuple[tuple[int, int, int], ...]  # (from, to, rotated source)
 
     def is_connected(self) -> bool:
-        if not self.elements:
-            return True
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(self.elements)))
-        graph.add_edges_from((a, b) for a, b, _ in self.edges)
-        return nx.is_connected(graph)
+        adjacent: list[list[int]] = [[] for _ in self.elements]
+        for a, b, _ in self.edges:
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+        return len(_graph_components(len(adjacent), adjacent.__getitem__)) <= 1
 
 
 def move_graph(m: CartanMatrix) -> MoveGraph:
@@ -357,13 +380,8 @@ def move_graph(m: CartanMatrix) -> MoveGraph:
     seen: dict[CoxeterElement, int] = {}
     elements: list[CoxeterElement] = []
     for signs in itertools.product((0, 1), repeat=len(edges)):
-        word_pos = {i: 0.0 for i in range(m.n)}
-        graph = nx.DiGraph()
-        graph.add_nodes_from(range(m.n))
-        for (i, j), s in zip(edges, signs):
-            graph.add_edge(*((i, j) if s == 0 else (j, i)))
-        order = list(nx.lexicographical_topological_sort(graph))
-        elem = coxeter_element(m, order)
+        arcs = ((i, j) if s == 0 else (j, i) for (i, j), s in zip(edges, signs))
+        elem = CoxeterElement(_lex_topological_order(m.n, arcs))
         if elem not in seen:
             seen[elem] = len(elements)
             elements.append(elem)
@@ -503,14 +521,7 @@ def psi_bipartite(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> Root:
     weight w maps to (one backward rotation of w) minus w.
     """
     bipartition_of(m, c)  # raises when c is not bipartite
-    if label.m == 0:
-        return -simple_root(m.n, label.i)
-    w = label_weight(m, c, label)
-    prev = label_weight(m, c, tau_inverse(m, c, label))
-    r = weight_as_root(m, prev - w)
-    if r is None:
-        raise InternalCheckError("weight difference not in the root lattice")
-    return r
+    return denominator(m, c, label)
 
 
 # -- primitive exchange relations -------------------------------------------
@@ -562,17 +573,12 @@ def primitive_relations(m: CartanMatrix, c: CoxeterElement) -> tuple[PrimitiveRe
                     mono_vars[PiLabel(i, q)] = -m.a[i][k]
                 elif precedes(m, c, k, i):
                     mono_vars[PiLabel(i, q - 1)] = -m.a[i][k]
-            diff = weight_as_root(
-                m, data.weight_of[PiLabel(k, q - 1)] - data.weight_of[PiLabel(k, q)]
-            )
-            if diff is None:
-                raise InternalCheckError("non-integral coefficient exponent")
             out.append(
                 PrimitiveRelation(
                     left=(PiLabel(k, q - 1), PiLabel(k, q)),
                     monomial_vars=tuple(sorted(mono_vars.items())),
                     monomial_coef=(0,) * n,
-                    constant_coef=diff.d,
+                    constant_coef=data.denominator[PiLabel(k, q)].d,
                 )
             )
     return tuple(out)

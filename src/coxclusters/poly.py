@@ -369,17 +369,6 @@ class LaurentPoly:
                 base = base * base
         return result
 
-    def shift(self, delta: Sequence[int]) -> "LaurentPoly":
-        """Multiply by the monomial with exponent vector ``delta``."""
-        if not self._t:
-            return self
-        layout = self.ring.layout
-        lo, hi = self._box()
-        new_lo = layout.pack([a + e for a, e in zip(layout.unpack(lo), delta, strict=True)])
-        new_hi = layout.pack([a + e for a, e in zip(layout.unpack(hi), delta, strict=True)])
-        d = new_lo - lo
-        return LaurentPoly(self.ring, {k + d: c for k, c in self._t.items()}, new_lo, new_hi)
-
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact Laurent division; raises :class:`InexactDivision` otherwise.
 

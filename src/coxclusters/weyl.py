@@ -101,54 +101,46 @@ def root_to_weight_coords(m: CartanMatrix, r: Root) -> Weight:
     return Weight(tuple(sum(m.a[k][j] * r.d[j] for j in range(m.n)) for k in range(m.n)))
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(m: CartanMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    n = m.n
-    aug = [[Fraction(m.a[i][j]) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def weight_to_root_coords(m: CartanMatrix, w: Weight) -> tuple[Fraction, ...]:
-    """Exact rational coordinates of a weight in the simple-root basis."""
-    inv = _cartan_inverse(m)
-    return tuple(sum(inv[i][k] * w.g[k] for k in range(m.n)) for i in range(m.n))
-
-
-@lru_cache(maxsize=None)
-def _cartan_adjugate(m: CartanMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(det, det * inverse) with integer entries, for divisibility tests."""
-    inv = _cartan_inverse(m)
-    mat = [[Fraction(x) for x in row] for row in m.a]
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant by fraction elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
     det = Fraction(1)
-    for k in range(m.n):
-        pivot = next(r for r in range(k, m.n) if mat[r][k] != 0)
+    for k in range(len(mat)):
+        pivot = next((r for r in range(k, len(mat)) if mat[r][k] != 0), None)
+        if pivot is None:
+            return 0
         if pivot != k:
             mat[k], mat[pivot] = mat[pivot], mat[k]
             det = -det
         det *= mat[k][k]
-        for r in range(k + 1, m.n):
+        for r in range(k + 1, len(mat)):
             f = mat[r][k] / mat[k][k]
-            for cc in range(k, m.n):
+            for cc in range(k, len(mat)):
                 mat[r][cc] -= f * mat[k][cc]
-    det_int = int(det)
+    return int(det)
+
+
+@lru_cache(maxsize=None)
+def _cartan_adjugate(m: CartanMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det, det * inverse) with integer entries, for divisibility tests.
+
+    Entry (i, k) of the adjugate is the signed minor of the Cartan matrix
+    without row k and column i.
+    """
+    n, a = m.n, m.a
     adj = tuple(
-        tuple(int(inv[i][k] * det_int) for k in range(m.n)) for i in range(m.n)
+        tuple(
+            (-1) ** (i + k)
+            * _det([[a[r][s] for s in range(n) if s != i] for r in range(n) if r != k])
+            for k in range(n)
+        )
+        for i in range(n)
     )
-    return det_int, adj
+    return _det(a), adj
 
 
 def weight_as_root(m: CartanMatrix, w: Weight) -> Root | None:
-    """The same conversion, returning a Root when integral and None otherwise."""
+    """A weight in simple-root coordinates: a Root when integral, None otherwise."""
     det, adj = _cartan_adjugate(m)
     g = w.g
     out = []

@@ -156,3 +156,33 @@ def test_internal_error_exit_code(target, exc, monkeypatch, capsys):
     assert main(["info", "--type", "A2", "--coxeter", "1,2"]) == 4
     err = capsys.readouterr().err
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["info", "--type", "A2", "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_type_label_wins_over_file_of_that_name(tmp_path):
+    (tmp_path / "A3").write_text("2 -1\n-1 2\n")
+    label = run_cli("info", "--type", "A3", cwd=tmp_path)
+    assert label.returncode == 0, label.stderr
+    assert json.loads(label.stdout)["rank"] == 3
+    path = run_cli("info", "--type", "./A3", cwd=tmp_path)
+    assert path.returncode == 0, path.stderr
+    assert json.loads(path.stdout)["rank"] == 2
+
+
+def test_cli_import_leaves_out_networkx():
+    code = "import sys, coxclusters.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -35,6 +35,7 @@ from coxclusters import (
     weight_label,
 )
 from coxclusters import checks
+from coxclusters.coxeter import MoveGraph
 from conftest import indecomposable_types
 
 
@@ -187,6 +188,41 @@ def test_clusters_counts(a2c, a3):
     assert len(hexagon) == 14
 
 
+def _weyl_degrees(letter, rank):
+    """Degrees of the basic invariants of the Weyl group; the largest is h."""
+    if letter == "A":
+        return list(range(2, rank + 2))
+    if letter in "BC":
+        return list(range(2, 2 * rank + 1, 2))
+    if letter == "D":
+        return list(range(2, 2 * rank - 1, 2)) + [rank]
+    return {
+        ("E", 6): [2, 5, 6, 8, 9, 12],
+        ("E", 7): [2, 6, 8, 10, 12, 14, 18],
+        ("E", 8): [2, 8, 12, 14, 18, 20, 24, 30],
+        ("F", 4): [2, 6, 8, 12],
+        ("G", 2): [2, 6],
+    }[letter, rank]
+
+
+@pytest.mark.parametrize("letter,rank", indecomposable_types(8))
+def test_cluster_count_is_catalan_number(letter, rank):
+    m = cartan_from_label(letter, rank)
+    degrees = _weyl_degrees(letter, rank)
+    h = max(degrees)
+    catalan = 1
+    for d in degrees:
+        catalan *= h + d
+    for d in degrees:
+        catalan //= d
+    linear = coxeter_element(m, range(m.n))
+    if m.n >= 3:
+        with pytest.raises(InvalidMove):
+            bipartition_of(m, linear)
+    for c in (bipartite_element(m), linear):
+        assert len(clusters(m, c)) == catalan
+
+
 def test_cyclical_move_rotation(a3):
     c = coxeter_element(a3, (0, 1, 2))
     # Rotating the first letter to the end, up to commuting letters.
@@ -200,6 +236,8 @@ def test_move_graph_sizes(a2, a3):
     assert len(g2.elements) == 2 and g2.is_connected()
     g3 = move_graph(a3)
     assert len(g3.elements) == 4 and g3.is_connected()
+    cut = MoveGraph(g3.elements, tuple(e for e in g3.edges if 1 not in e[:2]))
+    assert cut.is_connected() is False
 
 
 @pytest.mark.parametrize("spec", ["A4", "B3", "D4", "G2"])

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -15,7 +14,6 @@ from coxclusters import (
     root_to_weight_coords,
     simple_root,
     weight_as_root,
-    weight_to_root_coords,
 )
 from conftest import indecomposable_types
 
@@ -62,7 +60,6 @@ def test_weight_to_root(a2):
     w1 = fundamental_weight(2, 0)
     diff = w1 - apply_word(a2, (0, 1), w1)
     assert weight_as_root(a2, diff) == Root((1, 0))
-    assert weight_to_root_coords(a2, w1) == (Fraction(2, 3), Fraction(1, 3))
     assert weight_as_root(a2, w1) is None
 
 
