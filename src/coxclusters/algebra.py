@@ -10,7 +10,6 @@ breadth-first closure with canonical-form deduplication.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,6 @@ from .coxeter import (
     h_vector,
     pi_set,
     precedes,
-    tau,
     tau_inverse,
     weight_label,
 )

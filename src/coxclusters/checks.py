@@ -487,7 +487,6 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
     set, and the matrix route to F-polynomials, against the engine."""
     from .cartan import cartan_from_label
     from .coxeter import coxeter_element
-    from .poly import PolyRing
 
     name = f"A{n}"
     out = []

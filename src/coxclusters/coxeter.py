@@ -463,12 +463,6 @@ def all_roots(m: CartanMatrix) -> tuple[Root, ...]:
     return tuple(sorted((Root(d) for d in seen), key=lambda r: r.d))
 
 
-def almost_positive_roots(m: CartanMatrix) -> tuple[Root, ...]:
-    positives = [r for r in all_roots(m) if r.is_positive()]
-    negatives = [-simple_root(m.n, i) for i in range(m.n)]
-    return tuple(negatives + positives)
-
-
 def _half_reflection(m: CartanMatrix, eps: tuple[int, ...], sign: int, r: Root) -> Root:
     """Product of the commuting simple reflections of one sign, on roots.
 
