@@ -46,6 +46,13 @@ class CartanMatrix:
     d: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        # Every per-matrix cache is keyed by the instance: hash the nested tuples once.
+        object.__setattr__(self, "_hash", hash((self.n, self.a, self.d, self.components)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(self.n) if j != i and self.a[i][j] != 0)
 

@@ -9,6 +9,11 @@ All per-element derived data (exchange matrix, iteration counts ``h``, the
 star involution, the weight family Pi with its denominator vectors, its
 rotation ``tau``, and the first root family ``beta``) is computed once and
 cached; the cache is safe for concurrent readers.
+
+Both compatibility pairings are fixed integer tables, built on first use and
+then read by index: the label pairing once per (Cartan matrix, Coxeter
+element) and reduction direction, the pairing on almost positive roots once
+per (Cartan matrix, bipartition).
 """
 
 from __future__ import annotations
@@ -134,7 +139,8 @@ class _CoxeterData:
     """Derived tables for one (CartanMatrix, CoxeterElement) pair.
 
     The rotation chains, with their weights and denominators, are computed
-    eagerly; the label lookup and the first root family only on demand.
+    eagerly; the label lookups, the compatibility tables and the first root
+    family only on demand.
     """
 
     def __init__(self, m: CartanMatrix, c: CoxeterElement):
@@ -142,6 +148,55 @@ class _CoxeterData:
         self.c = c
         self.h, self.star, self.weight_of, self.denominator = self._iterate_chains()
         self.labels: tuple[PiLabel, ...] = tuple(self.weight_of)
+
+    @cached_property
+    def index(self) -> dict[PiLabel, int]:
+        return {lab: k for k, lab in enumerate(self.labels)}
+
+    @cached_property
+    def forward_compat(self) -> tuple[tuple[int, ...], ...]:
+        return self._compat_table(backward=False)
+
+    @cached_property
+    def backward_compat(self) -> tuple[tuple[int, ...], ...]:
+        return self._compat_table(backward=True)
+
+    def rotate(self, label: PiLabel, backward: bool = False) -> PiLabel:
+        """tau(label), or tau^-1(label) when ``backward``."""
+        i, k = label.i, label.m
+        if backward:
+            if k > 0:
+                return PiLabel(i, k - 1)
+            j = self.star[i]  # star is an involution
+            return PiLabel(j, self.h[j])
+        if k < self.h[i]:
+            return PiLabel(i, k + 1)
+        return PiLabel(self.star[i], 0)
+
+    def _step(self, backward: bool) -> tuple[int, ...]:
+        """One rotation step as a permutation of label indices."""
+        return tuple(self.index[self.rotate(lab, backward)] for lab in self.labels)
+
+    def _compat_table(self, backward: bool) -> tuple[tuple[int, ...], ...]:
+        """table[g][d]: rotate both labels k times, k the steps that take
+        labels[g] to a fundamental weight (i, 0); then the alpha_i-coefficient
+        of the rotated d's denominator, or 0 when it is a fundamental weight."""
+        labels = self.labels
+        step = self._step(backward)
+        coords = [(0,) * self.m.n if lab.m == 0 else self.denominator[lab].d for lab in labels]
+        powers = [tuple(range(len(labels)))]  # powers[k] = step^k
+        rows = []
+        for g in range(len(labels)):
+            k, top = 0, g
+            while labels[top].m != 0:
+                top, k = step[top], k + 1
+                if k > len(labels):
+                    raise InternalCheckError("rotation orbit missed every fundamental weight")
+            while len(powers) <= k:
+                powers.append(tuple(step[x] for x in powers[-1]))
+            i = labels[top].i
+            rows.append(tuple(coords[d][i] for d in powers[k]))
+        return tuple(rows)
 
     @cached_property
     def label_of(self) -> dict[tuple[int, ...], PiLabel]:
@@ -267,18 +322,11 @@ def denominator(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> Root:
 
 def tau(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> PiLabel:
     """Rotation permutation of the label set: one more application of c, wrapping at the end."""
-    data = _data(m, c)
-    if label.m < data.h[label.i]:
-        return PiLabel(label.i, label.m + 1)
-    return PiLabel(data.star[label.i], 0)
+    return _data(m, c).rotate(label)
 
 
 def tau_inverse(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> PiLabel:
-    data = _data(m, c)
-    if label.m > 0:
-        return PiLabel(label.i, label.m - 1)
-    j = data.star[label.i]  # star is an involution
-    return PiLabel(j, data.h[j])
+    return _data(m, c).rotate(label, backward=True)
 
 
 def compatibility_degree(
@@ -294,21 +342,13 @@ def compatibility_degree(
     weight; then the value is 0 against another fundamental weight, and the
     alpha_i-coefficient of (one backward rotation of the weight, minus the
     weight) otherwise.  ``use_inverse`` rotates backwards instead; the two
-    reductions must agree and tests assert that they do.
+    reductions must agree and tests assert that they do.  Each direction is
+    one integer table over all label pairs, built once per (m, c) from its
+    own step permutation, so a call is an index lookup.
     """
     data = _data(m, c)
-    step = tau_inverse if use_inverse else tau
-    cap = len(data.labels) + 1
-    for _ in range(cap):
-        if gamma.m == 0:
-            break
-        gamma = step(m, c, gamma)
-        delta = step(m, c, delta)
-    else:
-        raise InternalCheckError("rotation orbit missed every fundamental weight")
-    if delta.m == 0:
-        return 0
-    return data.denominator[delta].d[gamma.i]
+    table = data.backward_compat if use_inverse else data.forward_compat
+    return table[data.index[gamma]][data.index[delta]]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -324,11 +364,11 @@ def clusters(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, ...], .
     Bron-Kerbosch with pivoting on the compatibility graph, vertex sets as
     bitmasks over the label order.
     """
-    labels = _data(m, c).labels
+    data = _data(m, c)
+    labels, table = data.labels, data.forward_compat
     nbrs = [0] * len(labels)
     for a, b in itertools.combinations(range(len(labels)), 2):
-        la, lb = labels[a], labels[b]
-        if compatibility_degree(m, c, la, lb) == 0 and compatibility_degree(m, c, lb, la) == 0:
+        if table[a][b] == 0 and table[b][a] == 0:
             nbrs[a] |= 1 << b
             nbrs[b] |= 1 << a
     result = []
@@ -485,6 +525,24 @@ def _negative_simple_index(r: Root) -> int | None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _half_reflection_tables(m: CartanMatrix, eps: tuple[int, ...]):
+    """The almost positive roots (positive roots, then -alpha_i by i), their
+    index by coordinates, the index permutation of each half reflection by
+    sign, and the negative-simple index of each root (None if positive)."""
+    roots = tuple(r for r in all_roots(m) if r.is_positive())
+    roots += tuple(-simple_root(m.n, i) for i in range(m.n))
+    index = {r.d: k for k, r in enumerate(roots)}
+    try:
+        flips = {
+            sign: tuple(index[_half_reflection(m, eps, sign, r).d] for r in roots)
+            for sign in (1, -1)
+        }
+    except KeyError:
+        raise InternalCheckError("half reflection leaves the almost positive roots") from None
+    return roots, index, flips, tuple(_negative_simple_index(r) for r in roots)
+
+
 def root_compat(
     m: CartanMatrix, alpha: Root, beta: Root, eps: tuple[int, ...] | None = None
 ) -> int:
@@ -492,18 +550,20 @@ def root_compat(
 
     Characterized by: pairing of a negative simple -alpha_i against beta is
     the positive part of beta's alpha_i-coefficient, and invariance under the
-    two sign involutions.
+    two sign involutions.  The involutions are index permutations of the
+    almost positive roots, built once per (m, eps) from root data alone.
     """
     if eps is None:
         eps = bipartition(m)
+    roots, index, flips, negative_simple = _half_reflection_tables(m, tuple(eps))
+    a, b = index[alpha.d], index[beta.d]
     h_bound = 2 * (max(coxeter_number(m)) + 2)
     sign = 1
     for _ in range(h_bound):
-        neg = _negative_simple_index(alpha)
+        neg = negative_simple[a]
         if neg is not None:
-            return max(beta.d[neg], 0)
-        alpha = _half_reflection(m, eps, sign, alpha)
-        beta = _half_reflection(m, eps, sign, beta)
+            return max(roots[b].d[neg], 0)
+        a, b = flips[sign][a], flips[sign][b]
         sign = -sign
     raise InternalCheckError("involution orbit missed every negative simple root")
 

@@ -13,6 +13,23 @@ def indecomposable_types(max_rank):
     return out
 
 
+def weyl_degrees(letter, rank):
+    """Degrees of the basic invariants of the Weyl group; the largest is h."""
+    if letter == "A":
+        return list(range(2, rank + 2))
+    if letter in "BC":
+        return list(range(2, 2 * rank + 1, 2))
+    if letter == "D":
+        return list(range(2, 2 * rank - 1, 2)) + [rank]
+    return {
+        ("E", 6): [2, 5, 6, 8, 9, 12],
+        ("E", 7): [2, 6, 8, 10, 12, 14, 18],
+        ("E", 8): [2, 8, 12, 14, 18, 20, 24, 30],
+        ("F", 4): [2, 6, 8, 12],
+        ("G", 2): [2, 6],
+    }[letter, rank]
+
+
 @pytest.fixture(autouse=True)
 def _no_cap_env(monkeypatch):
     """Keep a COXCLUSTERS_CAP exported by the caller's shell out of every test."""

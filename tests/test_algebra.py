@@ -9,6 +9,7 @@ from coxclusters import (
     SemifieldMap,
     TropMonomial,
     Weight,
+    bipartite_element,
     cartan_from_label,
     cartan_from_text,
     checks,
@@ -25,6 +26,7 @@ from coxclusters import (
     verify_move_isomorphism,
 )
 from coxclusters.algebra import _mutate_b
+from conftest import indecomposable_types, weyl_degrees
 
 
 @pytest.fixture
@@ -105,6 +107,22 @@ def test_exploration_counts(spec, word, nvars, nseeds):
     g = explore(principal_seed(m, c))
     assert len(g.variables) == nvars
     assert len(g.seeds) == nseeds
+
+
+@pytest.mark.parametrize("letter,rank", indecomposable_types(4))
+def test_exploration_counts_match_degree_formulas(letter, rank):
+    degrees = weyl_degrees(letter, rank)
+    h = max(degrees)
+    seeds = 1
+    for d in degrees:
+        seeds *= h + d
+    for d in degrees:
+        seeds //= d
+    m = cartan_from_label(letter, rank)
+    g = explore(principal_seed(m, bipartite_element(m)))
+    assert len(g.seeds) == seeds
+    assert len(g.variables) == rank * (h + 2) // 2
+    assert len(g.edges) == rank * seeds // 2
 
 
 def test_exploration_cap(a2):

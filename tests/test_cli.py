@@ -186,3 +186,33 @@ def test_cli_import_leaves_out_networkx():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["2 -1\n-1 x\n", "2 -1\n-1\n", "# comment only\n\n", "2 -2\n-2 2\n"],
+    ids=["non-integer", "ragged", "empty", "affine"],
+)
+def test_bad_matrix_file_is_usage_error(body, tmp_path, capsys):
+    path = tmp_path / "cartan.txt"
+    path.write_text(body)
+    assert main(["info", "--type", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot load Cartan data from {str(path)!r}: ")
+    assert err.count("\n") == 1
+
+
+def test_missing_matrix_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["info", "--type", "./nope.txt"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load Cartan data from './nope.txt': ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("word", ["1", "1,x"])
+def test_bad_coxeter_word_is_usage_error(word, capsys):
+    assert main(["info", "--type", "A2", "--coxeter", word]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad coxeter spec {word!r}: ")
+    assert err.count("\n") == 1

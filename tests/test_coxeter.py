@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from coxclusters import (
+    InternalCheckError,
     InvalidMove,
     PiLabel,
     Root,
@@ -20,6 +21,7 @@ from coxclusters import (
     coxeter_element,
     coxeter_number,
     cyclical_move,
+    denominator,
     h_vector,
     label_weight,
     move_graph,
@@ -27,6 +29,7 @@ from coxclusters import (
     primitive_relations,
     psi_bipartite,
     psi_move,
+    reflect_root,
     root_compat,
     simple_root,
     sources,
@@ -34,9 +37,9 @@ from coxclusters import (
     tau_inverse,
     weight_label,
 )
-from coxclusters import checks
-from coxclusters.coxeter import MoveGraph
-from conftest import indecomposable_types
+from coxclusters import checks, coxeter
+from coxclusters.coxeter import MoveGraph, all_roots
+from conftest import indecomposable_types, weyl_degrees
 
 
 @pytest.fixture
@@ -188,27 +191,10 @@ def test_clusters_counts(a2c, a3):
     assert len(hexagon) == 14
 
 
-def _weyl_degrees(letter, rank):
-    """Degrees of the basic invariants of the Weyl group; the largest is h."""
-    if letter == "A":
-        return list(range(2, rank + 2))
-    if letter in "BC":
-        return list(range(2, 2 * rank + 1, 2))
-    if letter == "D":
-        return list(range(2, 2 * rank - 1, 2)) + [rank]
-    return {
-        ("E", 6): [2, 5, 6, 8, 9, 12],
-        ("E", 7): [2, 6, 8, 10, 12, 14, 18],
-        ("E", 8): [2, 8, 12, 14, 18, 20, 24, 30],
-        ("F", 4): [2, 6, 8, 12],
-        ("G", 2): [2, 6],
-    }[letter, rank]
-
-
 @pytest.mark.parametrize("letter,rank", indecomposable_types(8))
 def test_cluster_count_is_catalan_number(letter, rank):
     m = cartan_from_label(letter, rank)
-    degrees = _weyl_degrees(letter, rank)
+    degrees = weyl_degrees(letter, rank)
     h = max(degrees)
     catalan = 1
     for d in degrees:
@@ -283,6 +269,106 @@ def test_psi_bipartite_values(a2):
 def test_root_compat_negative_simple(a2):
     assert root_compat(a2, Root((-1, 0)), simple_root(2, 0)) == 1
     assert root_compat(a2, Root((-1, 0)), Root((0, -1))) == 0
+
+
+def _rotation_compat(m, c, gamma, delta, use_inverse):
+    """The per-pair reduction: rotate both labels with tau (tau^-1) until the
+    first is a fundamental weight (i, 0), then read alpha_i in the second's
+    denominator."""
+    step = tau_inverse if use_inverse else tau
+    for _ in range(len(pi_set(m, c)) + 1):
+        if gamma.m == 0:
+            break
+        gamma, delta = step(m, c, gamma), step(m, c, delta)
+    else:
+        raise AssertionError("rotation orbit missed every fundamental weight")
+    return 0 if delta.m == 0 else denominator(m, c, delta).d[gamma.i]
+
+
+_TABLE_CASES = [
+    (spec, c.order)
+    for spec in [f"{letter}{rank}" for letter, rank in indecomposable_types(4)] + ["A2xA1"]
+    for c in all_coxeter_elements(cartan_from_text(spec))
+] + [("E6", bipartite_element(cartan_from_text("E6")).order)]  # bipartite F4 is listed above
+
+
+@pytest.mark.parametrize("spec,word", _TABLE_CASES, ids=[f"{s}-{''.join(str(i + 1) for i in w)}" for s, w in _TABLE_CASES])
+def test_compat_table_matches_rotation(spec, word):
+    m = cartan_from_text(spec)
+    c = coxeter_element(m, word)
+    labels = [lab for lab, _ in pi_set(m, c)]
+    for use_inverse in (False, True):
+        for a in labels:
+            for b in labels:
+                expect = _rotation_compat(m, c, a, b, use_inverse)
+                assert compatibility_degree(m, c, a, b, use_inverse) == expect, (a, b)
+
+
+def _half_reflection_walk(m, alpha, beta, eps):
+    """The per-pair walk: apply the two sign involutions in turn to both
+    roots until the first is a negative simple root -alpha_i."""
+
+    def negative_simple(r):
+        support = [k for k, x in enumerate(r.d) if x != 0]
+        return support[0] if len(support) == 1 and r.d[support[0]] == -1 else None
+
+    def involution(sign, r):
+        neg = negative_simple(r)
+        if neg is not None and eps[neg] == -sign:
+            return r
+        for i in range(m.n):
+            if eps[i] == sign:
+                r = reflect_root(m, i, r)
+        return r
+
+    sign = 1
+    for _ in range(2 * (max(coxeter_number(m)) + 2)):
+        neg = negative_simple(alpha)
+        if neg is not None:
+            return max(beta.d[neg], 0)
+        alpha, beta = involution(sign, alpha), involution(sign, beta)
+        sign = -sign
+    raise AssertionError("involution orbit missed every negative simple root")
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
+def test_root_compat_matches_half_reflection_walk(spec):
+    m = cartan_from_text(spec)
+    eps = bipartition(m)
+    almost_positive = [r for r in all_roots(m) if r.is_positive()]
+    almost_positive += [-simple_root(m.n, i) for i in range(m.n)]
+    for a in almost_positive:
+        for b in almost_positive:
+            assert root_compat(m, a, b, eps) == _half_reflection_walk(m, a, b, eps), (a, b)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_corrupted_rotation_step_raises(backward, a3, monkeypatch):
+    def identity(self, backward):
+        return tuple(range(len(self.labels)))
+
+    monkeypatch.setattr(coxeter._CoxeterData, "_step", identity)
+    data = coxeter._CoxeterData(a3, bipartite_element(a3))
+    with pytest.raises(InternalCheckError, match="missed every fundamental weight"):
+        data.backward_compat if backward else data.forward_compat
+
+
+@pytest.fixture
+def fresh_root_tables():
+    coxeter._half_reflection_tables.cache_clear()
+    yield
+    coxeter._half_reflection_tables.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(lambda r: r, "missed every negative simple root"),
+     (lambda r: -r, "leaves the almost positive roots")],
+)
+def test_corrupted_half_reflection_raises(corrupt, message, a3, monkeypatch, fresh_root_tables):
+    monkeypatch.setattr(coxeter, "_half_reflection", lambda m, eps, sign, r: corrupt(r))
+    with pytest.raises(InternalCheckError, match=message):
+        root_compat(a3, simple_root(3, 0), simple_root(3, 1))
 
 
 @pytest.mark.parametrize("spec", ["A2", "A3", "B3", "G2"])
