@@ -290,9 +290,10 @@ _TABLE_CASES = [
     for spec in [f"{letter}{rank}" for letter, rank in indecomposable_types(4)] + ["A2xA1"]
     for c in all_coxeter_elements(cartan_from_text(spec))
 ] + [("E6", bipartite_element(cartan_from_text("E6")).order)]  # bipartite F4 is listed above
+_TABLE_IDS = [f"{s}-{''.join(str(i + 1) for i in w)}" for s, w in _TABLE_CASES]
 
 
-@pytest.mark.parametrize("spec,word", _TABLE_CASES, ids=[f"{s}-{''.join(str(i + 1) for i in w)}" for s, w in _TABLE_CASES])
+@pytest.mark.parametrize("spec,word", _TABLE_CASES, ids=_TABLE_IDS)
 def test_compat_table_matches_rotation(spec, word):
     m = cartan_from_text(spec)
     c = coxeter_element(m, word)
