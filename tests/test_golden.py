@@ -1,4 +1,4 @@
-"""Byte-for-byte guard on the JSON that ``info`` and ``verify`` print.
+"""Byte-for-byte guard on the JSON that ``info``, ``verify`` and ``explore`` print.
 
 ``golden_digests.json`` maps each command line to the sha256 of its stdout,
 recorded once from a trusted build; a refactor must leave every digest
