@@ -1,10 +1,13 @@
 """Seeds, tropical coefficients, mutation, and exchange-graph exploration.
 
 A seed carries its cluster as exact Laurent polynomials in the initial
-variables, a coefficient tuple of tropical monomials, and a
-skew-symmetrizable exchange matrix.  Mutation evaluates the exchange
-relation with tropical auxiliary addition and performs the division in the
-Laurent ring exactly, checking that the remainder vanishes; exploration is a
+variables, one coefficient per cluster slot, and a skew-symmetrizable
+exchange matrix.  A coefficient is a tropical monomial stored as its plain
+int exponent tuple over the semifield generators: its c-vector.  Mutation
+evaluates the exchange relation with tropical auxiliary addition and
+performs the division in the Laurent ring exactly, checking that the
+remainder vanishes; the c-vectors mutate by the exchange-matrix rule applied
+to the coefficient rows of the extended matrix.  Exploration is a
 breadth-first closure with canonical-form deduplication.
 """
 
@@ -40,98 +43,85 @@ class CapExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TropMonomial:
-    """Element of a tropical semifield: an exponent vector over its generators."""
-
-    exps: tuple[int, ...]
-
-    def __mul__(self, other: "TropMonomial") -> "TropMonomial":
-        return TropMonomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __pow__(self, k: int) -> "TropMonomial":
-        return TropMonomial(tuple(a * k for a in self.exps))
-
-    def inverse(self) -> "TropMonomial":
-        return self ** -1
-
-    def oplus_one(self) -> "TropMonomial":
-        """Tropical sum with 1: componentwise min against the zero vector."""
-        return TropMonomial(tuple(min(a, 0) for a in self.exps))
-
-    def pos_part(self) -> tuple[int, ...]:
-        return tuple(max(a, 0) for a in self.exps)
-
-    def neg_part(self) -> tuple[int, ...]:
-        return tuple(max(-a, 0) for a in self.exps)
-
-    def is_one(self) -> bool:
-        return all(a == 0 for a in self.exps)
-
-
-@dataclass(frozen=True)
 class Seed:
     """Labelled seed: cluster, coefficient tuple, exchange matrix.
 
     ``ring`` holds the ambient Laurent slots: the first ``n`` names are the
-    initial cluster variables, the rest the semifield generators.
+    initial cluster variables, the rest the semifield generators.  Each
+    coefficient is a c-vector: the int exponent tuple of a tropical monomial
+    over ``gens``.
     """
 
     ring: PolyRing
     n: int
     cluster: tuple[LaurentPoly, ...]
-    coeffs: tuple[TropMonomial, ...]
+    coeffs: tuple[tuple[int, ...], ...]
     B: tuple[tuple[int, ...], ...]
 
     @property
     def gens(self) -> tuple[str, ...]:
         return self.ring.names[self.n:]
 
-    def coeff_monomial(self, trop: TropMonomial | tuple[int, ...], coef: int = 1) -> LaurentPoly:
-        exps = trop.exps if isinstance(trop, TropMonomial) else trop
-        return self.ring.monomial((0,) * self.n + tuple(exps), coef)
+    def coeff_monomial(self, exps: tuple[int, ...], coef: int = 1) -> LaurentPoly:
+        return self.ring.monomial((0,) * self.n + exps, coef)
+
+
+def _sign_parts(v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """([v]+, [-v]+) componentwise; for a coefficient, the exponents of the
+    two sides of its exchange relation."""
+    return tuple(a if a > 0 else 0 for a in v), tuple(-a if a < 0 else 0 for a in v)
 
 
 def _mutate_b(B, k: int):
-    n = len(B)
+    """Matrix mutation: -b_ij if i or j is k, else
+    b_ij + [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ = b_ij + b_ik [sgn(b_ik) b_kj]+."""
+    pos, neg = (list(part) for part in _sign_parts(B[k]))
+    # b_ik + b_ik * (-2) = -b_ik: slot k of either part negates column k.
+    pos[k] = neg[k] = -2
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-B[i][j])
-            else:
-                row.append(
-                    B[i][j]
-                    + max(B[i][k], 0) * max(B[k][j], 0)
-                    - max(-B[i][k], 0) * max(-B[k][j], 0)
-                )
-        out.append(tuple(row))
+    for i, row in enumerate(B):
+        b = row[k]
+        if i == k:
+            out.append(tuple(-x for x in row))
+        elif b:
+            out.append(tuple(x + b * p for x, p in zip(row, pos if b > 0 else neg)))
+        else:
+            out.append(tuple(row))
     return tuple(out)
 
 
-def _mutate_coeffs(coeffs, B, k: int):
-    yk = coeffs[k]
-    hat = yk.oplus_one()
+def _mutate_coeffs(coeffs, B, k: int, parts=None):
+    """c-vector mutation, the matrix rule on the coefficient rows of the
+    extended matrix: y_k inverts and y_j gains b_kj [sgn(b_kj) y_k]+.
+
+    ``parts`` is ``_sign_parts(coeffs[k])`` when the caller already has it.
+    """
+    pos, neg = parts or _sign_parts(coeffs[k])
+    row_k = B[k]
     out = []
     for j, yj in enumerate(coeffs):
+        b = row_k[j]
         if j == k:
-            out.append(yk.inverse())
+            out.append(tuple(-a for a in yj))
+        elif b:
+            out.append(tuple(a + b * p for a, p in zip(yj, pos if b > 0 else neg)))
         else:
-            bkj = B[k][j]
-            out.append(yj * yk ** max(bkj, 0) * hat ** (-bkj))
+            out.append(yj)
     return tuple(out)
 
 
-def _exchange_numerator(s: Seed, k: int) -> LaurentPoly:
-    yk = s.coeffs[k]
-    t1 = s.coeff_monomial(yk.pos_part())
-    t2 = s.coeff_monomial(yk.neg_part())
-    for i in range(s.n):
-        b = s.B[i][k]
+def _exchange_numerator(ring: PolyRing, cluster, B, k: int, parts) -> LaurentPoly:
+    """Right-hand side of the exchange relation in direction k; ``parts`` is
+    ``_sign_parts`` of the coefficient y_k."""
+    n = len(cluster)
+    t1 = ring.monomial((0,) * n + parts[0])
+    t2 = ring.monomial((0,) * n + parts[1])
+    for i in range(n):
+        b = B[i][k]
         if b > 0:
-            t1 = t1 * s.cluster[i] ** b
+            t1 = t1 * cluster[i] ** b
         elif b < 0:
-            t2 = t2 * s.cluster[i] ** (-b)
+            t2 = t2 * cluster[i] ** (-b)
     return t1 + t2
 
 
@@ -139,7 +129,8 @@ def mutate(s: Seed, k: int) -> Seed:
     """Seed mutation in direction k; involutive, with verified exact division."""
     if not 0 <= k < s.n:
         raise IndexError(k)
-    num = _exchange_numerator(s, k)
+    parts = _sign_parts(s.coeffs[k])
+    num = _exchange_numerator(s.ring, s.cluster, s.B, k, parts)
     try:
         new_var = num.exact_div(s.cluster[k])
     except InexactDivision as exc:
@@ -150,7 +141,7 @@ def mutate(s: Seed, k: int) -> Seed:
         ring=s.ring,
         n=s.n,
         cluster=tuple(cluster),
-        coeffs=_mutate_coeffs(s.coeffs, s.B, k),
+        coeffs=_mutate_coeffs(s.coeffs, s.B, k, parts),
         B=_mutate_b(s.B, k),
     )
 
@@ -159,12 +150,11 @@ def principal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
     """Initial seed with one free tropical generator per cluster slot."""
     n = m.n
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n)))
-    unit = (0,) * n
     return Seed(
         ring=ring,
         n=n,
         cluster=tuple(ring.gen(i) for i in range(n)),
-        coeffs=tuple(TropMonomial(tuple(int(i == j) for j in range(n))) for i in range(n)),
+        coeffs=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
         B=b_matrix(m, c),
     )
 
@@ -174,10 +164,11 @@ def principal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
 
 @dataclass(frozen=True)
 class SeedView:
-    """Canonical form of an unlabelled seed inside an exchange graph."""
+    """Canonical form of an unlabelled seed inside an exchange graph; the
+    coefficients are c-vectors, as in :class:`Seed`."""
 
     var_ids: tuple[int, ...]
-    coeffs: tuple[TropMonomial, ...]
+    coeffs: tuple[tuple[int, ...], ...]
     B: tuple[tuple[int, ...], ...]
 
 
@@ -215,6 +206,10 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     Seeds are deduplicated by canonical form (cluster sorted in the canonical
     polynomial order, coefficients and exchange matrix permuted along); the
     output ordering is canonical and independent of traversal schedule.
+
+    Every edge costs one exact division: the first time an edge is crossed
+    the new variable is divided out of its exchange relation, and the
+    reverse crossing reads it from a flip cache.
     """
     n = seed.n
     variables: list[LaurentPoly] = []
@@ -247,20 +242,19 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
         cur_index = visited[current]
         ids, coeffs, B = current
         cluster = [variables[v] for v in ids]
-        working = Seed(ring=seed.ring, n=n, cluster=tuple(cluster), coeffs=coeffs, B=B)
         for k in range(n):
-            yk = coeffs[k]
+            parts = _sign_parts(coeffs[k])
             side_pos = (
-                yk.pos_part(),
+                parts[0],
                 tuple(sorted((ids[i], B[i][k]) for i in range(n) if B[i][k] > 0)),
             )
             side_neg = (
-                yk.neg_part(),
+                parts[1],
                 tuple(sorted((ids[i], -B[i][k]) for i in range(n) if B[i][k] < 0)),
             )
             cached = flip_cache.get((current, k))
             if cached is None:
-                num = _exchange_numerator(working, k)
+                num = _exchange_numerator(seed.ring, cluster, B, k, parts)
                 try:
                     new_poly = num.exact_div(cluster[k])
                 except InexactDivision as exc:
@@ -273,7 +267,7 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
             new_ids = list(ids)
             new_ids[k] = new_id
             neighbor = canonical(
-                tuple(new_ids), _mutate_coeffs(coeffs, B, k), _mutate_b(B, k)
+                tuple(new_ids), _mutate_coeffs(coeffs, B, k, parts), _mutate_b(B, k)
             )
             idx = visited.get(neighbor)
             if idx is None:
@@ -465,7 +459,7 @@ def universal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
                 if precedes(m, c, i, j):
                     e += m.a[i][j] * compatibility_degree(m, c, lab, PiLabel(i, 1))
             exps[index[lab]] += e
-        coeffs.append(TropMonomial(tuple(exps)))
+        coeffs.append(tuple(exps))
     return Seed(
         ring=ring,
         n=n,
@@ -607,7 +601,7 @@ def specialize(s: Seed, hom: SemifieldMap) -> Seed:
         ring=ring,
         n=s.n,
         cluster=tuple(map_poly(p) for p in s.cluster),
-        coeffs=tuple(TropMonomial(hom.apply_exps(t.exps)) for t in s.coeffs),
+        coeffs=tuple(hom.apply_exps(t) for t in s.coeffs),
         B=s.B,
     )
 
@@ -651,9 +645,9 @@ def verify_move_isomorphism(
     ctilde = cyclical_move(m, c, source)
     b_ok = s1.B == b_matrix(m, ctilde)
     n = m.n
-    y_src_ok = s1.coeffs[source].exps == tuple(-int(j == source) for j in range(n))
+    y_src_ok = s1.coeffs[source] == tuple(-int(j == source) for j in range(n))
     y_others_ok = all(
-        s1.coeffs[j].exps
+        s1.coeffs[j]
         == tuple(int(t == j) - m.a[source][j] * int(t == source) for t in range(n))
         for j in range(n)
         if j != source

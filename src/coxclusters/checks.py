@@ -13,7 +13,6 @@ from functools import lru_cache
 from . import typea
 from .algebra import (
     ExchangeGraph,
-    TropMonomial,
     check_separation,
     explore,
     label_variables,
@@ -470,7 +469,7 @@ def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> 
         order = sorted(range(m.n), key=lambda t: labels[s.var_ids[t]])
         mapped = (
             tuple(labels[s.var_ids[t]] for t in order),
-            tuple(TropMonomial(phi.apply_exps(s.coeffs[t].exps)) for t in order),
+            tuple(phi.apply_exps(s.coeffs[t]) for t in order),
             tuple(tuple(s.B[a][b] for b in order) for a in order),
         )
         if mapped != target:

@@ -1,14 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxclusters import (
     CapExceeded,
     PiLabel,
     Root,
+    Seed,
     SemifieldMap,
-    TropMonomial,
     Weight,
+    all_coxeter_elements,
     bipartite_element,
     cartan_from_label,
     cartan_from_text,
@@ -25,7 +28,7 @@ from coxclusters import (
     universal_seed,
     verify_move_isomorphism,
 )
-from coxclusters.algebra import _mutate_b
+from coxclusters.algebra import SeedView, _mutate_b, _mutate_coeffs, _sign_parts
 from conftest import indecomposable_types, weyl_degrees
 
 
@@ -39,7 +42,7 @@ def test_principal_seed_shape(a2_seed):
     m, c, s = a2_seed
     assert s.B == ((0, 1), (-1, 0))
     assert [str(p) for p in s.cluster] == ["x1", "x2"]
-    assert [t.exps for t in s.coeffs] == [(1, 0), (0, 1)]
+    assert s.coeffs == ((1, 0), (0, 1))
 
 
 def test_mutation_first_direction(a2_seed):
@@ -48,7 +51,7 @@ def test_mutation_first_direction(a2_seed):
     x1, x2 = s.cluster
     y1 = s.coeff_monomial(s.coeffs[0])
     assert s1.cluster[0] * x1 == y1 + x2
-    assert [t.exps for t in s1.coeffs] == [(-1, 0), (1, 1)]
+    assert s1.coeffs == ((-1, 0), (1, 1))
     assert s1.B == ((0, -1), (1, 0))
 
 
@@ -109,7 +112,7 @@ def test_exploration_counts(spec, word, nvars, nseeds):
     assert len(g.seeds) == nseeds
 
 
-@pytest.mark.parametrize("letter,rank", indecomposable_types(4))
+@pytest.mark.parametrize("letter,rank", indecomposable_types(5) + [("E", 6)])
 def test_exploration_counts_match_degree_formulas(letter, rank):
     degrees = weyl_degrees(letter, rank)
     h = max(degrees)
@@ -180,7 +183,7 @@ def test_universal_seed_first_coefficient(a2):
     assert u.gens == ("p1_0", "p1_1", "p1_2", "p2_0", "p2_1")
     # One positive power of the generator at the fundamental weight, inverse
     # at its rotation, pairing exponents elsewhere (no earlier neighbors).
-    assert u.coeffs[0].exps == (1, -1, 1, 0, 0)
+    assert u.coeffs[0] == (1, -1, 1, 0, 0)
 
 
 @pytest.mark.parametrize("spec", ["A2", "A3", "B2", "G2"])
@@ -220,7 +223,7 @@ def test_move_isomorphism_reports(a2):
     rep = verify_move_isomorphism(a2, c, 0)
     assert rep.passed, rep
     s1 = mutate(principal_seed(a2, c), 0)
-    assert [t.exps for t in s1.coeffs] == [(-1, 0), (1, 1)]
+    assert s1.coeffs == ((-1, 0), (1, 1))
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
@@ -248,10 +251,120 @@ def test_label_variables_matches_records(a3):
     assert tuple(r.label for r in recs) == label_variables(a3, c, g)
 
 
-def test_tropical_monomial_ops():
-    t = TropMonomial((2, -1))
-    assert (t * t.inverse()).is_one()
-    assert t.oplus_one().exps == (0, -1)
-    assert t.pos_part() == (2, 0)
-    assert t.neg_part() == (0, 1)
-    assert (t ** 3).exps == (6, -3)
+def test_c_vector_ops():
+    assert _sign_parts((2, -1, 0)) == ((2, 0, 0), (0, 1, 0))
+    y = ((2, -1), (0, 1))
+    # y_1 times y_0^3 times (y_0 (+) 1)^-3 = (0, 1) + (6, -3) + (0, 3).
+    assert _mutate_coeffs(y, ((0, 3), (-3, 0)), 0) == ((-2, 1), (6, 1))
+    # y_1 times (y_0 (+) 1)^3 = (0, 1) + (0, -3).
+    assert _mutate_coeffs(y, ((0, -3), (3, 0)), 0) == ((-2, 1), (0, -2))
+    assert _mutate_coeffs(y, ((0, 0), (0, 0)), 1) == ((2, -1), (0, -1))
+
+
+# -- the mutation rules against the entrywise formulas ---------------------------------
+
+
+def entrywise_mutate_b(B, k):
+    n = len(B)
+    return tuple(
+        tuple(
+            -B[i][j]
+            if i == k or j == k
+            else B[i][j]
+            + max(B[i][k], 0) * max(B[k][j], 0)
+            - max(-B[i][k], 0) * max(-B[k][j], 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def entrywise_mutate_coeffs(coeffs, B, k):
+    """y_k inverts; y_j becomes y_j y_k^[b_kj]+ (y_k (+) 1)^-b_kj, where
+    (y_k (+) 1) has exponents min(y_k, 0)."""
+    yk = coeffs[k]
+    out = []
+    for j, yj in enumerate(coeffs):
+        if j == k:
+            out.append(tuple(-a for a in yk))
+        else:
+            b = B[k][j]
+            out.append(
+                tuple(a + max(b, 0) * e - b * min(e, 0) for a, e in zip(yj, yk))
+            )
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "spec", [f"{letter}{rank}" for letter, rank in indecomposable_types(4)] + ["A2xA1"]
+)
+def test_mutation_rules_match_entrywise_formulas(spec):
+    m = cartan_from_text(spec)
+    for c in all_coxeter_elements(m):
+        for make in (principal_seed, universal_seed):
+            for s in explore(make(m, c)).seeds:
+                for k in range(m.n):
+                    assert _mutate_b(s.B, k) == entrywise_mutate_b(s.B, k)
+                    assert _mutate_coeffs(s.coeffs, s.B, k) == entrywise_mutate_coeffs(
+                        s.coeffs, s.B, k
+                    )
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+def test_public_mutate_rederives_every_edge(spec):
+    m = cartan_from_text(spec)
+    g = explore(principal_seed(m, bipartite_element(m)))
+    var_index = {p.key(): v for v, p in enumerate(g.variables)}
+    seed_index = {s: i for i, s in enumerate(g.seeds)}
+    edges = set(g.edges)
+    for i, view in enumerate(g.seeds):
+        s = Seed(
+            ring=g.ring,
+            n=g.n,
+            cluster=tuple(g.variables[v] for v in view.var_ids),
+            coeffs=view.coeffs,
+            B=view.B,
+        )
+        for k in range(g.n):
+            s1 = mutate(s, k)
+            ids = [var_index[p.key()] for p in s1.cluster]
+            order = sorted(range(g.n), key=lambda t: ids[t])
+            target = SeedView(
+                var_ids=tuple(ids[t] for t in order),
+                coeffs=tuple(s1.coeffs[t] for t in order),
+                B=tuple(tuple(s1.B[a][b] for b in order) for a in order),
+            )
+            j = seed_index[target]
+            assert (min(i, j), max(i, j)) in edges
+
+
+@st.composite
+def exchange_data(draw):
+    """B = S D with S skew-symmetric and D a positive diagonal, so that D B is
+    skew-symmetric; one coefficient tuple per row; a direction k."""
+    n = draw(st.integers(1, 5))
+    S = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            S[i][j] = draw(st.integers(-3, 3))
+            S[j][i] = -S[i][j]
+    diag = tuple(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    B = tuple(tuple(S[i][j] * diag[j] for j in range(n)) for i in range(n))
+    width = draw(st.integers(1, 5))
+    coeffs = tuple(
+        draw(st.lists(st.tuples(*[st.integers(-3, 3)] * width), min_size=n, max_size=n))
+    )
+    return B, diag, coeffs, draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(exchange_data())
+def test_mutation_involutive_and_skew_symmetrizable(data):
+    B, diag, coeffs, k = data
+    Bk = _mutate_b(B, k)
+    ck = _mutate_coeffs(coeffs, B, k)
+    assert (_mutate_b(Bk, k), _mutate_coeffs(ck, Bk, k)) == (B, coeffs)
+    n = len(B)
+    assert all(diag[i] * Bk[i][j] == -diag[j] * Bk[j][i] for i in range(n) for j in range(n))
+    assert Bk == entrywise_mutate_b(B, k)
+    assert ck == entrywise_mutate_coeffs(coeffs, B, k)
