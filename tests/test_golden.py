@@ -1,9 +1,17 @@
-"""Byte-for-byte guard on the JSON that ``info``, ``verify`` and ``explore`` print.
+"""Byte-for-byte guards on the engine's output.
 
-``golden_digests.json`` maps each command line to the sha256 of its stdout,
-recorded once from a trusted build; a refactor must leave every digest
-unchanged.  To record them again, run each command line through
+``golden_digests.json`` maps each command line to the sha256 of the JSON
+that ``info``, ``verify`` or ``explore`` prints, recorded once from a
+trusted build.  To record them again, run each command line through
 ``coxclusters.cli.main`` and hash its stdout.
+
+The CLI JSON shows counts and records, not seeds or relations, so
+``graph_digests.json`` maps each start seed named by
+``conftest.exchange_graph_instances`` to the sha256 of
+:func:`graph_document` of its whole ``ExchangeGraph``.  To record them
+again, hash ``graph_document(explore(instance_seed(name)))`` for every name.
+
+A refactor must leave every digest unchanged.
 """
 
 import hashlib
@@ -12,9 +20,25 @@ from pathlib import Path
 
 import pytest
 
+from coxclusters import explore
 from coxclusters.cli import main
+from conftest import exchange_graph_instances, instance_seed
 
-DIGESTS = json.loads((Path(__file__).parent / "golden_digests.json").read_text())
+HERE = Path(__file__).parent
+DIGESTS = json.loads((HERE / "golden_digests.json").read_text())
+GRAPH_DIGESTS = json.loads((HERE / "graph_digests.json").read_text())
+
+
+def graph_document(graph) -> str:
+    """Variables by ``str``, then each seed's var_ids, coeffs and B, then the
+    edges, then each relation's pair and sides, as compact JSON."""
+    doc = [
+        [str(v) for v in graph.variables],
+        [[s.var_ids, s.coeffs, s.B] for s in graph.seeds],
+        graph.edges,
+        [[r.pair, r.sides] for r in graph.relations],
+    ]
+    return json.dumps(doc, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("command", sorted(DIGESTS))
@@ -22,3 +46,9 @@ def test_output_digest(command, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+@pytest.mark.parametrize("name", exchange_graph_instances())
+def test_exchange_graph_digest(name):
+    doc = graph_document(explore(instance_seed(name)))
+    assert hashlib.sha256(doc.encode()).hexdigest() == GRAPH_DIGESTS[name]
