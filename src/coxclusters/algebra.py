@@ -13,8 +13,7 @@ breadth-first closure with canonical-form deduplication.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .cartan import CartanMatrix
@@ -22,14 +21,14 @@ from .coxeter import (
     CoxeterElement,
     InternalCheckError,
     PiLabel,
+    PrimitiveRelation,
     b_matrix,
     compatibility_degree,
     cyclical_move,
     denominator,
-    h_vector,
     pi_set,
     precedes,
-    tau_inverse,
+    primitive_relations,
     weight_label,
 )
 from .poly import InexactDivision, LaurentPoly, PolyRing
@@ -200,16 +199,31 @@ class ExchangeGraph:
         return tuple(r for r in self.relations if r.is_primitive())
 
 
+def relabel_seed(names, coeffs, B):
+    """A seed's slots renamed to ``names`` and sorted by name, with the
+    coefficient rows and the rows and columns of B permuted to match:
+    (sorted names, coeffs, B)."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return (
+        tuple(names[t] for t in order),
+        tuple(coeffs[t] for t in order),
+        tuple(tuple(B[a][b] for b in order) for a in order),
+    )
+
+
 def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     """Breadth-first closure of a seed under all mutations.
 
-    Seeds are deduplicated by canonical form (cluster sorted in the canonical
-    polynomial order, coefficients and exchange matrix permuted along); the
-    output ordering is canonical and independent of traversal schedule.
+    During the walk a seed is named by its slots sorted by interned variable
+    id (:func:`relabel_seed`), and the whole (ids, coeffs, B) triple is the
+    deduplication key.  Afterwards the variables are renumbered in the
+    canonical polynomial order and every seed is sorted again by the new
+    ids, so the output ordering is canonical and independent of traversal
+    schedule and of the slot order of the start seed.
 
     Every edge costs one exact division: the first time an edge is crossed
     the new variable is divided out of its exchange relation, and the
-    reverse crossing reads it from a flip cache.
+    reverse crossing reads it from a flip cache keyed by (seed index, slot).
     """
     n = seed.n
     variables: list[LaurentPoly] = []
@@ -223,24 +237,14 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
             variables.append(p)
         return vid
 
-    def canonical(cluster_ids, coeffs, B):
-        order = sorted(range(n), key=lambda t: variables[cluster_ids[t]].key())
-        ids = tuple(cluster_ids[t] for t in order)
-        coeffs_p = tuple(coeffs[t] for t in order)
-        B_p = tuple(tuple(B[a][b] for b in order) for a in order)
-        return ids, coeffs_p, B_p
-
-    start = canonical(tuple(intern(p) for p in seed.cluster), seed.coeffs, seed.B)
-    visited: dict = {start: 0}
+    start = relabel_seed(tuple(intern(p) for p in seed.cluster), seed.coeffs, seed.B)
+    index: dict = {start: 0}
     seeds: list = [start]
     edges: set = set()
     relations: set = set()
     flip_cache: dict = {}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        cur_index = visited[current]
-        ids, coeffs, B = current
+    # ``seeds`` grows while it is walked, which makes the walk breadth-first.
+    for cur_index, (ids, coeffs, B) in enumerate(seeds):
         cluster = [variables[v] for v in ids]
         for k in range(n):
             parts = _sign_parts(coeffs[k])
@@ -252,8 +256,8 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
                 parts[1],
                 tuple(sorted((ids[i], -B[i][k]) for i in range(n) if B[i][k] < 0)),
             )
-            cached = flip_cache.get((current, k))
-            if cached is None:
+            new_id = flip_cache.pop((cur_index, k), None)
+            if new_id is None:
                 num = _exchange_numerator(seed.ring, cluster, B, k, parts)
                 try:
                     new_poly = num.exact_div(cluster[k])
@@ -262,22 +266,18 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
                         f"exchange relation not Laurent at seed {cur_index}, direction {k}"
                     ) from exc
                 new_id = intern(new_poly)
-            else:
-                new_id = cached
             new_ids = list(ids)
             new_ids[k] = new_id
-            neighbor = canonical(
-                tuple(new_ids), _mutate_coeffs(coeffs, B, k, parts), _mutate_b(B, k)
-            )
-            idx = visited.get(neighbor)
+            neighbor = relabel_seed(new_ids, _mutate_coeffs(coeffs, B, k, parts), _mutate_b(B, k))
+            idx = index.get(neighbor)
             if idx is None:
                 idx = len(seeds)
                 if idx >= cap:
                     raise CapExceeded(f"seed cap {cap} exceeded")
-                visited[neighbor] = idx
+                index[neighbor] = idx
                 seeds.append(neighbor)
-                queue.append(neighbor)
-            flip_cache[(neighbor, neighbor[0].index(new_id))] = ids[k]
+            if idx > cur_index:  # the neighbour's walk reads this edge back
+                flip_cache[(idx, neighbor[0].index(new_id))] = ids[k]
             edges.add((min(cur_index, idx), max(cur_index, idx)))
             relations.add(
                 Relation(
@@ -288,22 +288,14 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
 
     # Canonical output ordering, independent of discovery order.
     order = sorted(range(len(variables)), key=lambda v: variables[v].key())
-    remap = {old: new for new, old in enumerate(order)}
-    new_variables = tuple(variables[v] for v in order)
-
-    def remap_seed(s):
-        ids, coeffs, B = s
-        pairs = sorted(range(n), key=lambda t: remap[ids[t]])
-        return SeedView(
-            var_ids=tuple(remap[ids[t]] for t in pairs),
-            coeffs=tuple(coeffs[t] for t in pairs),
-            B=tuple(tuple(B[a][b] for b in pairs) for a in pairs),
-        )
-
-    seed_views = [remap_seed(s) for s in seeds]
-    seed_order = sorted(range(len(seed_views)), key=lambda i: (seed_views[i].var_ids,))
+    remap = [0] * len(order)
+    for new, old in enumerate(order):
+        remap[old] = new
+    seed_views = [
+        SeedView(*relabel_seed([remap[v] for v in ids], coeffs, B)) for ids, coeffs, B in seeds
+    ]
+    seed_order = sorted(range(len(seed_views)), key=lambda i: seed_views[i].var_ids)
     seed_remap = {old: new for new, old in enumerate(seed_order)}
-    new_seeds = tuple(seed_views[i] for i in seed_order)
     new_edges = tuple(
         sorted(tuple(sorted((seed_remap[a], seed_remap[b]))) for a, b in edges)
     )
@@ -327,8 +319,8 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     return ExchangeGraph(
         ring=seed.ring,
         n=n,
-        variables=new_variables,
-        seeds=new_seeds,
+        variables=tuple(variables[v] for v in order),
+        seeds=tuple(seed_views[i] for i in seed_order),
         edges=new_edges,
         relations=new_relations,
     )
@@ -398,15 +390,8 @@ def check_separation(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRec
     for j in range(n):
         exps = [B[i][j] for i in range(n)] + [int(k == j) for k in range(n)]
         hat.append(ring.monomial(exps))
-    total = ring.zero()
-    for exps, coef in rec.fpoly.terms.items():
-        term = ring.monomial((0,) * ring.nvars, coef)
-        for e, val in zip(exps, hat):
-            if e:
-                term = term * val ** e
-        total = total + term
     gmono = ring.monomial(tuple(rec.g.g) + (0,) * n)
-    return gmono * total == rec.expansion
+    return gmono * rec.fpoly.evaluate(hat, ring) == rec.expansion
 
 
 def denominator_label_map(m: CartanMatrix, c: CoxeterElement) -> dict:
@@ -469,55 +454,25 @@ def universal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
     )
 
 
-@dataclass(frozen=True)
-class LabelledRelation:
-    """Closed-form relation with labels in place of variable ids."""
-
-    pair: tuple[PiLabel, PiLabel]
-    sides: tuple[tuple[tuple[int, ...], tuple[tuple[PiLabel, int], ...]], ...]
-
-
 def universal_primitive_relations(
     m: CartanMatrix, c: CoxeterElement
-) -> tuple[LabelledRelation, ...]:
+) -> tuple[PrimitiveRelation, ...]:
     """Primitive relations of the universal-coefficient algebra, one per label.
 
-    The pair is (one backward rotation of delta, delta); the variable-bearing
-    side carries the single generator indexed by delta, the constant side the
-    product of all generators raised to their pairing against delta.
+    They are :func:`primitive_relations` with the coefficients over one
+    generator per label: the variable side of delta's relation carries the
+    generator of delta, the constant side every generator lambda raised to
+    the compatibility degree of lambda with delta.
     """
     labels = [lab for lab, _ in pi_set(m, c)]
-    index = {lab: pos for pos, lab in enumerate(labels)}
-    h, _ = h_vector(m, c)
-    out = []
-    for delta in labels:
-        prev = tau_inverse(m, c, delta)
-        k, q = delta.i, delta.m
-        mono_vars: dict[PiLabel, int] = {}
-        for i in range(m.n):
-            if precedes(m, c, i, k):
-                lab = PiLabel(i, q) if q >= 1 else PiLabel(i, 0)
-                mono_vars[lab] = -m.a[i][k]
-            elif precedes(m, c, k, i):
-                lab = PiLabel(i, q - 1) if q >= 1 else tau_inverse(m, c, PiLabel(i, 0))
-                mono_vars[lab] = -m.a[i][k]
-        mono_coef = [0] * len(labels)
-        mono_coef[index[delta]] = 1
-        const_coef = [compatibility_degree(m, c, lab, delta) for lab in labels]
-        out.append(
-            LabelledRelation(
-                pair=tuple(sorted((prev, delta))),
-                sides=tuple(
-                    sorted(
-                        (
-                            (tuple(mono_coef), tuple(sorted(mono_vars.items()))),
-                            (tuple(const_coef), ()),
-                        )
-                    )
-                ),
-            )
+    return tuple(
+        replace(
+            pr,
+            monomial_coef=tuple(int(lab == delta) for lab in labels),
+            constant_coef=tuple(compatibility_degree(m, c, lab, delta) for lab in labels),
         )
-    return tuple(out)
+        for pr, delta in zip(primitive_relations(m, c), labels)
+    )
 
 
 # -- coefficient specialization ---------------------------------------------------
@@ -541,6 +496,10 @@ class SemifieldMap:
         )
 
     def validate(self) -> None:
+        if len(self.images) != len(self.source):
+            raise ValueError(
+                f"{len(self.images)} generator images for {len(self.source)} generators"
+            )
         for img in self.images:
             if len(img) != len(self.target):
                 raise ValueError("image exponent length mismatch")

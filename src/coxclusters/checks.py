@@ -19,6 +19,7 @@ from .algebra import (
     principal_seed,
     principal_specialization_map,
     records_for,
+    relabel_seed,
     universal_primitive_relations,
     universal_seed,
     verify_move_isomorphism,
@@ -27,6 +28,7 @@ from .cartan import CartanMatrix, bipartition
 from .coxeter import (
     CoxeterElement,
     PiLabel,
+    PrimitiveRelation,
     all_roots,
     b_matrix,
     beta_roots,
@@ -333,6 +335,13 @@ def harvest_relations(graph: ExchangeGraph, labels) -> set:
     return harvested
 
 
+def closed_relation(pr: PrimitiveRelation) -> tuple:
+    """A closed-form relation as (sorted label pair, sorted sides), the form
+    of :func:`harvest_relations`."""
+    sides = ((pr.monomial_coef, pr.monomial_vars), (pr.constant_coef, ()))
+    return tuple(sorted(pr.left)), tuple(sorted(sides))
+
+
 @lru_cache(maxsize=None)
 def _explored(m: CartanMatrix, c: CoxeterElement, cap: int) -> ExchangeGraph:
     return explore(principal_seed(m, c), cap=cap)
@@ -393,11 +402,7 @@ def engine_against_formulas(
     out.append(_result("engine/separation-identity", name, sep_ok))
 
     harvested = harvest_relations(graph, [r.label for r in records])
-    closed = set()
-    for pr in primitive_relations(m, c):
-        const_side = (pr.constant_coef, ())
-        mono_side = (pr.monomial_coef, pr.monomial_vars)
-        closed.add((tuple(sorted(pr.left)), tuple(sorted((mono_side, const_side)))))
+    closed = {closed_relation(pr) for pr in primitive_relations(m, c)}
     out.append(
         _result(
             "engine/primitive-relations-match",
@@ -444,36 +449,22 @@ def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> 
     graph = explore(useed, cap=cap)
     labels = label_variables(m, c, graph)
     harvested = harvest_relations(graph, labels)
-    closed = {(lr.pair, lr.sides) for lr in universal_primitive_relations(m, c)}
+    closed = {closed_relation(pr) for pr in universal_primitive_relations(m, c)}
     out.append(_result("universal/primitive-relations-match", name, harvested == closed))
 
     phi = principal_specialization_map(m, c)
     pgraph = _explored(m, c, cap)
     precs = records_for(m, c, pgraph)
-    principal_seeds = {}
-    for s in pgraph.seeds:
-        key = frozenset(precs[v].label for v in s.var_ids)
-        order = sorted(range(m.n), key=lambda t: precs[s.var_ids[t]].label)
-        principal_seeds[key] = (
-            tuple(precs[s.var_ids[t]].label for t in order),
-            tuple(s.coeffs[t] for t in order),
-            tuple(tuple(s.B[a][b] for b in order) for a in order),
+    principal_seeds = sorted(
+        relabel_seed([precs[v].label for v in s.var_ids], s.coeffs, s.B) for s in pgraph.seeds
+    )
+    mapped_seeds = sorted(
+        relabel_seed(
+            [labels[v] for v in s.var_ids], [phi.apply_exps(y) for y in s.coeffs], s.B
         )
-    seeds_ok = len(graph.seeds) == len(pgraph.seeds)
-    for s in graph.seeds:
-        key = frozenset(labels[v] for v in s.var_ids)
-        target = principal_seeds.get(key)
-        if target is None:
-            seeds_ok = False
-            continue
-        order = sorted(range(m.n), key=lambda t: labels[s.var_ids[t]])
-        mapped = (
-            tuple(labels[s.var_ids[t]] for t in order),
-            tuple(phi.apply_exps(s.coeffs[t]) for t in order),
-            tuple(tuple(s.B[a][b] for b in order) for a in order),
-        )
-        if mapped != target:
-            seeds_ok = False
+        for s in graph.seeds
+    )
+    seeds_ok = mapped_seeds == principal_seeds
     out.append(_result("universal/specializes-onto-principal-seeds", name, seeds_ok))
     return out
 

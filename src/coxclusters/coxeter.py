@@ -587,8 +587,9 @@ class PrimitiveRelation:
 
     The product of the two ``left`` variables equals ``monomial_coef`` times
     the product of ``monomial_vars`` (with multiplicities), plus
-    ``constant_coef``.  Coefficient exponent vectors are over the principal
-    generators y_1..y_n.
+    ``constant_coef``.  The coefficient exponent vectors are over the seed's
+    semifield generators: y_1..y_n for principal coefficients, one generator
+    per label in label order for universal ones.
     """
 
     left: tuple[PiLabel, PiLabel]
@@ -598,41 +599,32 @@ class PrimitiveRelation:
 
 
 def primitive_relations(m: CartanMatrix, c: CoxeterElement) -> tuple[PrimitiveRelation, ...]:
-    """Both closed-form families of primitive relations, one per label."""
+    """The principal-coefficient primitive relations, one per label, in label order.
+
+    The relation of delta = (k, q) pairs (tau^-1 delta, delta).  Its variable
+    side has multiplicity -a_ik at (i, q) for each i preceding k, and at
+    (i, q - 1), or tau^-1 (i, 0) when q = 0, for each i that k precedes.  Its
+    coefficient is y_k when q = 0; otherwise its constant side carries the
+    denominator of delta.
+    """
     data = _data(m, c)
     n = m.n
     out = []
-    for k in range(n):
-        # Family through the fundamental weight: pair (-w_k, w_k).
-        mono_vars: dict[PiLabel, int] = {}
+    for delta in data.labels:
+        k, q = delta.i, delta.m
+        mono_vars = []
         for i in range(n):
             if precedes(m, c, i, k):
-                mono_vars[PiLabel(i, 0)] = -m.a[i][k]
+                mono_vars.append((PiLabel(i, q), -m.a[i][k]))
             elif precedes(m, c, k, i):
-                jstar = data.star[i]
-                mono_vars[PiLabel(jstar, data.h[jstar])] = -m.a[i][k]
+                lab = PiLabel(i, q - 1) if q else data.rotate(PiLabel(i, 0), backward=True)
+                mono_vars.append((lab, -m.a[i][k]))
         out.append(
             PrimitiveRelation(
-                left=(tau_inverse(m, c, PiLabel(k, 0)), PiLabel(k, 0)),
-                monomial_vars=tuple(sorted(mono_vars.items())),
-                monomial_coef=tuple(int(j == k) for j in range(n)),
-                constant_coef=(0,) * n,
+                left=(data.rotate(delta, backward=True), delta),
+                monomial_vars=tuple(sorted(mono_vars)),
+                monomial_coef=tuple(int(q == 0 and j == k) for j in range(n)),
+                constant_coef=data.denominator[delta].d if q else (0,) * n,
             )
         )
-        # Rotating family: pairs (c^(q-1) w_k, c^q w_k) for 1 <= q <= h(k).
-        for q in range(1, data.h[k] + 1):
-            mono_vars = {}
-            for i in range(n):
-                if precedes(m, c, i, k):
-                    mono_vars[PiLabel(i, q)] = -m.a[i][k]
-                elif precedes(m, c, k, i):
-                    mono_vars[PiLabel(i, q - 1)] = -m.a[i][k]
-            out.append(
-                PrimitiveRelation(
-                    left=(PiLabel(k, q - 1), PiLabel(k, q)),
-                    monomial_vars=tuple(sorted(mono_vars.items())),
-                    monomial_coef=(0,) * n,
-                    constant_coef=data.denominator[PiLabel(k, q)].d,
-                )
-            )
     return tuple(out)

@@ -1,6 +1,14 @@
 import pytest
 
-from coxclusters import cartan_from_label
+from coxclusters import (
+    all_coxeter_elements,
+    bipartite_element,
+    cartan_from_label,
+    cartan_from_text,
+    coxeter_element,
+    principal_seed,
+    universal_seed,
+)
 
 
 def indecomposable_types(max_rank):
@@ -50,14 +58,11 @@ def exchange_graph_instances():
     """Seeds whose whole exchange graph tests compare: principal and universal
     seeds of every orientation of A3, B3, G2 and A2xA1, and of bipartite D4
     and F4.  Each name is "<principal|universal> <type> <word>"."""
-    from coxclusters import all_coxeter_elements, bipartite_element, cartan_from_text
-
     out = []
-    every = {spec: all_coxeter_elements for spec in ("A3", "B3", "G2", "A2xA1")}
-    bipartite = {spec: lambda m: (bipartite_element(m),) for spec in ("D4", "F4")}
-    for spec, elements in {**every, **bipartite}.items():
+    for spec in ("A3", "B3", "G2", "A2xA1", "D4", "F4"):
         m = cartan_from_text(spec)
-        for c in elements(m):
+        bipartite_only = spec in ("D4", "F4")
+        for c in (bipartite_element(m),) if bipartite_only else all_coxeter_elements(m):
             word = ",".join(str(i + 1) for i in c.order)
             out += [f"{kind} {spec} {word}" for kind in ("principal", "universal")]
     return out
@@ -65,8 +70,6 @@ def exchange_graph_instances():
 
 def instance_seed(name):
     """The start seed named by an entry of :func:`exchange_graph_instances`."""
-    from coxclusters import cartan_from_text, coxeter_element, principal_seed, universal_seed
-
     kind, spec, word = name.split()
     m = cartan_from_text(spec)
     c = coxeter_element(m, [int(x) - 1 for x in word.split(",")])

@@ -28,8 +28,9 @@ from coxclusters import (
     universal_seed,
     verify_move_isomorphism,
 )
-from coxclusters.algebra import SeedView, _mutate_b, _mutate_coeffs, _sign_parts
-from conftest import indecomposable_types, weyl_degrees
+from coxclusters.algebra import SeedView, _mutate_b, _mutate_coeffs, _sign_parts, relabel_seed
+from coxclusters.poly import LaurentPoly
+from conftest import exchange_graph_instances, indecomposable_types, instance_seed, weyl_degrees
 
 
 @pytest.fixture
@@ -144,6 +145,38 @@ def test_exploration_deterministic(a2):
     assert g1.relations == g2.relations
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("make", [principal_seed, universal_seed])
+def test_one_division_per_edge(spec, make, monkeypatch):
+    m = cartan_from_text(spec)
+    seed = make(m, bipartite_element(m))
+    calls = []
+    exact_div = LaurentPoly.exact_div
+
+    def counting(self, other):
+        calls.append(1)
+        return exact_div(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "exact_div", counting)
+    graph = explore(seed)
+    assert len(calls) == len(graph.edges)
+
+
+@pytest.mark.parametrize("name", exchange_graph_instances())
+def test_exploration_ignores_slot_order(name):
+    seed = instance_seed(name)
+    perm = random.Random(0).sample(range(seed.n), seed.n)
+    assert perm != sorted(perm)
+    permuted = Seed(
+        ring=seed.ring,
+        n=seed.n,
+        cluster=tuple(seed.cluster[t] for t in perm),
+        coeffs=tuple(seed.coeffs[t] for t in perm),
+        B=tuple(tuple(seed.B[a][b] for b in perm) for a in perm),
+    )
+    assert explore(permuted) == explore(seed)
+
+
 def test_extract_record_example(a2):
     c = coxeter_element(a2, (0, 1))
     s = principal_seed(a2, c)
@@ -205,6 +238,9 @@ def test_specialize_identity_and_errors(a2):
     negative = SemifieldMap(source=s.gens, target=("u", "v"), images=((1, 0), (0, -1)))
     with pytest.raises(ValueError, match="negative"):
         specialize(s, negative)
+    too_few = SemifieldMap(source=s.gens, target=("u",), images=((1,),))
+    with pytest.raises(ValueError, match="1 generator images for 2 generators"):
+        specialize(s, too_few)
 
 
 def test_universal_to_principal_specialization(a2):
@@ -328,13 +364,7 @@ def test_public_mutate_rederives_every_edge(spec):
         for k in range(g.n):
             s1 = mutate(s, k)
             ids = [var_index[p.key()] for p in s1.cluster]
-            order = sorted(range(g.n), key=lambda t: ids[t])
-            target = SeedView(
-                var_ids=tuple(ids[t] for t in order),
-                coeffs=tuple(s1.coeffs[t] for t in order),
-                B=tuple(tuple(s1.B[a][b] for b in order) for a in order),
-            )
-            j = seed_index[target]
+            j = seed_index[SeedView(*relabel_seed(ids, s1.coeffs, s1.B))]
             assert (min(i, j), max(i, j)) in edges
 
 
