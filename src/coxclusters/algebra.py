@@ -288,9 +288,7 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
 
     # Canonical output ordering, independent of discovery order.
     order = sorted(range(len(variables)), key=lambda v: variables[v].key())
-    remap = [0] * len(order)
-    for new, old in enumerate(order):
-        remap[old] = new
+    remap = {old: new for new, old in enumerate(order)}
     seed_views = [
         SeedView(*relabel_seed([remap[v] for v in ids], coeffs, B)) for ids, coeffs, B in seeds
     ]
