@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import itemgetter
 
 from .cartan import CartanMatrix
 from .coxeter import (
@@ -111,7 +112,12 @@ def _mutate_coeffs(coeffs, B, k: int, parts=None):
 
 def _exchange_numerator(ring: PolyRing, cluster, B, k: int, parts) -> LaurentPoly:
     """Right-hand side of the exchange relation in direction k; ``parts`` is
-    ``_sign_parts`` of the coefficient y_k."""
+    ``_sign_parts`` of the coefficient y_k.
+
+    Each side is its coefficient monomial times one power per variable;
+    a power with exponent 1 is the variable itself, so in a simply-laced
+    type every factor costs exactly one product.
+    """
     n = len(cluster)
     t1 = ring.monomial((0,) * n + parts[0])
     t2 = ring.monomial((0,) * n + parts[1])
@@ -203,12 +209,10 @@ def relabel_seed(names, coeffs, B):
     """A seed's slots renamed to ``names`` and sorted by name, with the
     coefficient rows and the rows and columns of B permuted to match:
     (sorted names, coeffs, B)."""
-    order = sorted(range(len(names)), key=names.__getitem__)
-    return (
-        tuple(names[t] for t in order),
-        tuple(coeffs[t] for t in order),
-        tuple(tuple(B[a][b] for b in order) for a in order),
-    )
+    if len(names) == 1:  # itemgetter of one index returns the item, not a tuple
+        return tuple(names), tuple(coeffs), tuple(map(tuple, B))
+    pick = itemgetter(*sorted(range(len(names)), key=names.__getitem__))
+    return pick(names), pick(coeffs), tuple(map(pick, pick(B)))
 
 
 def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:

@@ -28,6 +28,12 @@ term.  A sum without cancellation takes the fieldwise union of the boxes;
 any other box is computed from the terms when first needed.  Exact division
 bounds its quotient by [lo_p - lo_q, hi_p - hi_q].
 
+Exact division eliminates the remainder's leading term, and it finds each
+next leading term by merging the once-sorted dividend keys with a heap of
+the keys the elimination creates (Johnson's heap, 1974; Monagan and Pearce,
+*Sparse polynomial division using a heap*, J. Symb. Comp. 2011), not by a
+``max`` over the whole remainder.
+
 ``terms`` is the tuple-keyed view, unpacked on first use.
 """
 
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
+from heapq import heappop, heappush
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -351,6 +358,9 @@ class LaurentPoly:
         return LaurentPoly(self.ring, {k: c for k, c in acc.items() if c}, lo, hi)
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        """Power by repeated squaring.  The product starts from the first
+        factor it needs, so ``p ** 1`` is ``p`` itself and costs no product.
+        A negative power exists only for a monomial with coefficient +-1."""
         if k < 0:
             if not self.is_monomial():
                 raise InexactDivision("negative power of a non-monomial")
@@ -359,15 +369,17 @@ class LaurentPoly:
                 raise InexactDivision("negative power of a non-unit coefficient")
             exps = self.ring.layout.unpack(key)
             return self.ring.monomial(tuple(e * k for e in exps), coef ** (k & 1 or 2))
-        result = self.ring.one()
+        if not k:
+            return self.ring.one()
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact Laurent division; raises :class:`InexactDivision` otherwise.
@@ -376,6 +388,14 @@ class LaurentPoly:
         divisibility exactly.  An exact quotient lies in the box
         [lo_p - lo_q, hi_p - hi_q]; a leading quotient monomial outside it
         means a nonzero remainder.
+
+        The remainder's terms are reached in descending order without
+        rescanning it: the dividend's keys are sorted once and merged with a
+        heap that holds only the keys the elimination creates, in the manner
+        of Johnson's heap (1974) and of Monagan and Pearce, *Sparse
+        polynomial division using a heap* (J. Symb. Comp., 2011).  Each
+        quotient term then costs O(divisor terms * log heap) instead of a
+        scan of the whole remainder.
         """
         q = divisor._t
         if not q:
@@ -406,29 +426,44 @@ class LaurentPoly:
         layout.check(lo, hi)
         q_lead = max(q)
         q_lc = q[q_lead]
-        offsets = [(k - q_lead, c) for k, c in q.items()]
+        # The leading term's own offset is left out: its key is popped below.
+        offsets = [(k - q_lead, c) for k, c in q.items() if k != q_lead]
         # For a remainder leading term r, the quotient monomial is
         # r - q_lead + one.  Per field, r - below is (monomial - lo) + _GUARD
         # and above - r is (hi - monomial) + _GUARD, both in (0, 2*_GUARD).
         below = q_lead + lo - one - guard
         above = hi + q_lead - one + guard
+        # Every key of ``rem`` sits in exactly one of ``order`` (the dividend,
+        # ascending) and ``heap`` (negated keys that elimination created), and
+        # a key that cancels keeps a 0 until it is reached.  Every offset is
+        # negative, so the keys reached strictly descend.
         rem = dict(self._t)
         get = rem.get
+        order = sorted(rem)
+        heap: list = []
         quotient = {}
-        while rem:
-            r = max(rem)
-            r_lc = rem[r]
+        while True:
+            if heap and (not order or -heap[0] > order[-1]):
+                r = -heappop(heap)
+            elif order:
+                r = order.pop()
+            else:
+                break
+            r_lc = rem.pop(r)
+            if not r_lc:
+                continue
             if ((r - below) & (above - r) & guard) != guard or r_lc % q_lc:
                 raise InexactDivision("nonzero remainder")
             co = r_lc // q_lc
             quotient[r - q_lead + one] = co
             for dk, qc in offsets:
                 k = r + dk
-                c = get(k, 0) - co * qc
-                if c:
-                    rem[k] = c
+                c = get(k)
+                if c is None:
+                    rem[k] = -co * qc
+                    heappush(heap, -k)
                 else:
-                    del rem[k]
+                    rem[k] = c - co * qc
         return LaurentPoly(self.ring, quotient, lo, hi)
 
     # -- reinterpretation -----------------------------------------------------------

@@ -69,6 +69,27 @@ def test_mutation_involutive(a2_seed):
             assert mutate(mutate(seed, k), k) == seed
 
 
+SMALL_TYPES = [f"{letter}{rank}" for letter, rank in indecomposable_types(4)] + ["A2xA1"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.data())
+def test_mutation_involutive_on_whole_seeds(data):
+    """mu_k mu_k = id, polynomials included, at every seed of a random path of
+    length at most 6 from the principal and the universal seed of a random
+    type of rank at most 4 and a random orientation."""
+    m = cartan_from_text(data.draw(st.sampled_from(SMALL_TYPES)))
+    c = data.draw(st.sampled_from(all_coxeter_elements(m)))
+    path = data.draw(st.lists(st.integers(0, m.n - 1), max_size=6))
+    for make in (principal_seed, universal_seed):
+        seeds = [make(m, c)]
+        for step in path:
+            seeds.append(mutate(seeds[-1], step))
+        for seed in seeds:
+            for k in range(m.n):
+                assert mutate(mutate(seed, k), k) == seed
+
+
 def test_b_mutation_sign_flip():
     B = ((0, 1), (-1, 0))
     assert _mutate_b(B, 0) == ((0, -1), (1, 0))

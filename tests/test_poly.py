@@ -166,6 +166,27 @@ def test_perturbed_product_division(a, b, e, c):
 
 
 @PROPS
+@given(MODELS, st.integers(0, 4))
+def test_power_is_repeated_product(a, k):
+    p = RING.from_terms(a)
+    expected = RING.one()
+    for _ in range(k):
+        expected = expected * p
+    assert p ** k == expected
+    assert p ** 1 == p
+
+
+@PROPS
+@given(EXPS, st.sampled_from([-1, 1]), st.integers(1, 4))
+def test_negative_powers_of_unit_monomials(e, c, k):
+    m = RING.monomial(e, c)
+    assert m ** -k == RING.monomial(tuple(-k * x for x in e), c ** k)
+    assert m ** -k * m ** k == RING.one()
+    with pytest.raises(InexactDivision):
+        RING.monomial(e, 2 * c) ** -k
+
+
+@PROPS
 @given(MODELS, MODELS)
 def test_key_order_is_sorted_tuple_order(a, b):
     p, q = RING.from_terms(a), RING.from_terms(b)
