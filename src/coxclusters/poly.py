@@ -41,9 +41,9 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Mapping
-from heapq import heappop, heappush
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from typing import Sequence
 
 _WIDTH = 16
