@@ -352,9 +352,7 @@ def entrywise_mutate_coeffs(coeffs, B, k):
     return tuple(out)
 
 
-@pytest.mark.parametrize(
-    "spec", [f"{letter}{rank}" for letter, rank in indecomposable_types(4)] + ["A2xA1"]
-)
+@pytest.mark.parametrize("spec", SMALL_TYPES)
 def test_mutation_rules_match_entrywise_formulas(spec):
     m = cartan_from_text(spec)
     for c in all_coxeter_elements(m):
