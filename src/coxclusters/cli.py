@@ -124,23 +124,27 @@ def _emit(args, document) -> None:
 
 
 def _render_text(document, indent: int = 0) -> str:
+    """One line per scalar, headed by its key or by ``-`` for a list item.
+
+    A nested dict or list gets a head line of its own, and its contents are
+    indented one level further.
+    """
     pad = "  " * indent
     if isinstance(document, dict):
-        lines = []
-        for key in sorted(document):
-            value = document[key]
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
+        items = [(f"{key}:", document[key]) for key in sorted(document)]
+    elif isinstance(document, list):
+        items = [("-", value) for value in document]
+    else:
+        return f"{pad}{document}"
+    lines = []
+    for head, value in items:
+        if isinstance(value, (dict, list)):
+            lines.append(f"{pad}{head}")
+            if value:
                 lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-        return "\n".join(lines)
-    if isinstance(document, list):
-        return "\n".join(
-            _render_text(v, indent) if isinstance(v, (dict, list)) else f"{pad}- {v}"
-            for v in document
-        )
-    return f"{pad}{document}"
+        else:
+            lines.append(f"{pad}{head} {value}")
+    return "\n".join(lines)
 
 
 def _record_json(rec) -> dict:

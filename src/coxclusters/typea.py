@@ -2,10 +2,13 @@
 
 Cluster variables of the linearly ordered type-A algebra are consecutive
 principal minors of a symbolic tridiagonal matrix with unit subdiagonal and
-determinant one.  Intervals [i, j] of 1-based indices name the minors; the
-matching polygon picture names the same variables by diagonals of a convex
-(n+3)-gon, with the universal coefficient of an exchange relation read off a
-strip-membership rule for dual diagonals.
+determinant one.  Intervals [i, j] of 1-based indices name the minors.  The
+exchange relations among them are checked as polynomial identities in the
+matrix entries, with the determinant kept as the full-size minor; they hold
+on the cell where it is 1.  The matching polygon picture names the same
+variables by diagonals of a convex (n+3)-gon, with the universal coefficient
+of an exchange relation read off a strip-membership rule for dual diagonals:
+the diagonals joining the half-open vertex ranges of two boundary arcs.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import PiLabel
-from .poly import InexactDivision, LaurentPoly, PolyRing
+from .poly import LaurentPoly, PolyRing
 
 
 @lru_cache(maxsize=None)
@@ -111,13 +114,6 @@ def det_poly(n: int) -> LaurentPoly:
     return interval_minor(n, 1, n + 1)
 
 
-def _relation_factor(n: int, i: int, j: int) -> LaurentPoly:
-    """Interval minor with the determinant slot structurally replaced by 1."""
-    if (i, j) == (1, n + 1):
-        return matrix_ring(n).one()
-    return interval_minor(n, i, j)
-
-
 @dataclass(frozen=True)
 class RelationCheck:
     quadruple: tuple[int, int, int, int]
@@ -127,34 +123,28 @@ class RelationCheck:
 def verify_exchange_relations(n: int) -> tuple[RelationCheck, ...]:
     """Symbolically verify every admissible interval exchange relation.
 
-    Each relation must hold identically, or identically modulo the principal
-    ideal generated by (determinant - 1) once the full-size minor is replaced
-    by 1.
+    For 1 <= i < j <= k + 1 <= l <= n + 1 the relation reads
+    m(i,k) m(j,l) = y_{j-1} .. y_k m(i,j-2) m(k+2,l) + m(i,l) m(j,k), with
+    m(1,n+1) kept as the full determinant, and it must hold as an identity
+    of polynomials.  Only the factor m(i,l) with (i,l) = (1,n+1) is the
+    full-size minor; setting it to 1 moves the right side by
+    (determinant - 1) m(j,k).  So the identity implies the relation modulo
+    (determinant - 1), which is the relation on the cell where the
+    determinant is 1.
     """
     ring = matrix_ring(n)
-    det_minus_one = det_poly(n) - ring.one()
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 2):
             for k in range(j - 1, n + 1):
+                ycoef = ring.monomial({n + t: 1 for t in range(j - 1, k + 1)})
+                outer = ycoef * interval_minor(n, i, j - 2)
+                m_ik = interval_minor(n, i, k)
+                m_jk = interval_minor(n, j, k)
                 for l in range(k + 1, n + 2):
-                    ycoef = ring.one()
-                    for t in range(j - 1, k + 1):
-                        ycoef = ycoef * ring.gen(n + 1 + t - 1)
-                    lhs = _relation_factor(n, i, k) * _relation_factor(n, j, l)
-                    rhs = (
-                        ycoef * _relation_factor(n, i, j - 2) * _relation_factor(n, k + 2, l)
-                        + _relation_factor(n, i, l) * _relation_factor(n, j, k)
-                    )
-                    diff = lhs - rhs
-                    ok = diff.is_zero()
-                    if not ok:
-                        try:
-                            diff.exact_div(det_minus_one)
-                            ok = True
-                        except InexactDivision:
-                            ok = False
-                    out.append(RelationCheck(quadruple=(i, j, k, l), ok=ok))
+                    lhs = m_ik * interval_minor(n, j, l)
+                    rhs = outer * interval_minor(n, k + 2, l) + interval_minor(n, i, l) * m_jk
+                    out.append(RelationCheck(quadruple=(i, j, k, l), ok=lhs == rhs))
     return tuple(out)
 
 
@@ -274,18 +264,14 @@ def all_diagonals(n: int) -> tuple[Diagonal, ...]:
     return tuple(out)
 
 
-def _in_cyclic_interval(lo: int, x: int, hi: int) -> bool:
-    """x lies in the closed counter-clockwise vertex interval from lo to hi."""
-    if lo <= hi:
-        return lo <= x <= hi
-    return x >= lo or x <= hi
+def _arc_vertices(n: int, lo: int, hi: int) -> list[int]:
+    """Vertices p with lo < p <= hi counter-clockwise on the (n+3)-gon.
 
-
-def _dual_on_arc(n: int, p: int, lo: int, hi: int) -> bool:
-    """The dual vertex p' (midpoint of the side ending at p) lies on the
-    boundary arc running counter-clockwise from lo to hi."""
-    prev = n + 3 if p == 1 else p - 1
-    return _in_cyclic_interval(lo, prev, hi) and _in_cyclic_interval(lo, p, hi)
+    These are exactly the p whose dual vertex p' (midpoint of the side ending
+    at p) lies on the boundary arc from lo to hi.
+    """
+    size = n + 3
+    return [(lo + t) % size + 1 for t in range((hi - lo) % size)]
 
 
 def _spanning_duals(n: int, arc1: tuple[int, int], arc2: tuple[int, int]):
@@ -294,15 +280,16 @@ def _spanning_duals(n: int, arc1: tuple[int, int], arc2: tuple[int, int]):
     The strip between two non-crossing chords is bounded by the chords and
     two boundary arcs; a dual diagonal is contained in it exactly when it
     stretches across, one endpoint on the midpoint of a side of each arc.
+    So the diagonals are the pairs of one vertex from each arc's half-open
+    vertex range, less the boundary sides.  The arcs are disjoint, so no
+    pair occurs twice.
     """
-    out = []
-    for d in all_diagonals(n):
-        ends = (d.a, d.b)
-        for first, second in (ends, ends[::-1]):
-            if _dual_on_arc(n, first, *arc1) and _dual_on_arc(n, second, *arc2):
-                out.append(d)
-                break
-    return tuple(sorted(out))
+    pairs = (
+        Diagonal(min(a, b), max(a, b))
+        for a in _arc_vertices(n, *arc1)
+        for b in _arc_vertices(n, *arc2)
+    )
+    return tuple(sorted(d for d in pairs if not d.is_boundary(n)))
 
 
 def universal_coeff_typea(
@@ -315,7 +302,9 @@ def universal_coeff_typea(
     product of the sides (i,j), (k,l): the generators of all diagonals whose
     dual spans the strip those two sides bound, i.e. with one dual endpoint
     on the arc from j to k and the other on the arc from l around to i.  The
-    second multiset is the same rule for the sides (j,k) and (l,i).
+    second multiset is the same rule for the sides (j,k) and (l,i).  In
+    vertices: the pairs {a, b} with j < a <= k and b cyclically after l up
+    to i, resp. with k < a <= l and i < b <= j, boundary sides left out.
     """
     i, j, k, l = quad
     if not (1 <= i < j < k < l <= n + 3):

@@ -216,3 +216,40 @@ def test_bad_coxeter_word_is_usage_error(word, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad coxeter spec {word!r}: ")
     assert err.count("\n") == 1
+
+
+def _text_block(out: str, key: str) -> list[str]:
+    """The indented lines under the top-level ``key:`` of a text document."""
+    lines = out.splitlines()
+    start = lines.index(f"{key}:") + 1
+    block = []
+    for line in lines[start:]:
+        if not line.startswith("  "):
+            break
+        block.append(line)
+    return block
+
+
+def _item_sizes(block: list[str]) -> list[int]:
+    """Entries under each ``-`` head of a list of lists, one level down."""
+    sizes = []
+    for line in block:
+        if line == "  -":
+            sizes.append(0)
+        else:
+            assert line.startswith("    - ")
+            sizes[-1] += 1
+    return sizes
+
+
+def test_text_format_nests_lists(capsys):
+    assert main(["info", "--type", "A2", "--format", "text"]) == 0
+    out = capsys.readouterr().out
+    assert _item_sizes(_text_block(out, "B")) == [2, 2]
+    assert _item_sizes(_text_block(out, "clusters")) == [2] * 5
+    records = _text_block(out, "variables")
+    assert records.count("  -") == 5
+    assert sum(line == "    label:" for line in records) == 5
+    assert main(["info", "--type", "A2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["B"]) == 2 and len(doc["clusters"]) == 5

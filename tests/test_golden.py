@@ -1,9 +1,11 @@
 """Byte-for-byte guards on the engine's output.
 
 ``golden_digests.json`` maps each command line to the sha256 of the JSON
-that ``info``, ``verify`` or ``explore`` prints, recorded once from a
-trusted build.  To record them again, run each command line through
-``coxclusters.cli.main`` and hash its stdout.
+that ``info``, ``verify``, ``explore`` or ``typea`` prints, recorded once
+from a trusted build.  To record them again, run each command line through
+``coxclusters.cli.main`` and hash its stdout.  The ``typea --n 11`` digest
+must also equal the one ``perfbench/expected.json`` gates the benchmark
+on, so the tests and the benchmark guard the same bytes.
 
 The CLI JSON shows counts and records, not seeds or relations, so
 ``graph_digests.json`` maps each start seed named by
@@ -27,6 +29,7 @@ from conftest import exchange_graph_instances, instance_seed
 HERE = Path(__file__).parent
 DIGESTS = json.loads((HERE / "golden_digests.json").read_text())
 GRAPH_DIGESTS = json.loads((HERE / "graph_digests.json").read_text())
+BENCH_EXPECTED = HERE.parent / "perfbench" / "expected.json"
 
 
 def graph_document(graph) -> str:
@@ -46,6 +49,11 @@ def test_output_digest(command, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+def test_typea_digest_is_the_benchmark_digest():
+    expected = json.loads(BENCH_EXPECTED.read_text())
+    assert DIGESTS["typea --n 11"] == expected["typea-A11"]["sha256"]
 
 
 @pytest.mark.parametrize("name", exchange_graph_instances())

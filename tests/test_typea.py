@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from coxclusters import PiLabel, cartan_from_label, checks, coxeter_element
 from coxclusters import typea
+from coxclusters.cli import main
+from coxclusters.poly import InexactDivision
 
 
 def test_interval_minor_basics():
@@ -60,7 +64,7 @@ def test_exchange_relations_verify(n):
 
 def test_specific_relation_n2():
     # (i,j,k,l) = (1,2,2,3) pairs the two single-row minors against the
-    # determinant substitution.
+    # full determinant m(1,3).
     results = {r.quadruple: r.ok for r in typea.verify_exchange_relations(2)}
     assert results[(1, 2, 2, 3)]
 
@@ -124,7 +128,7 @@ def test_degenerate_quadrilateral_rejected():
         typea.universal_coeff_typea(3, (4, 2, 5, 6))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_strip_rule_against_engine(n):
     for res in checks.typea_universal_coefficients(n):
         assert res.passed, res
@@ -134,3 +138,122 @@ def test_strip_rule_against_engine(n):
 def test_full_typea_suite(n):
     for res in checks.typea_checks(n):
         assert res.passed, res
+
+
+# -- reference copies of the replaced paths --------------------------------------------
+#
+# The strip rule used to scan every diagonal for a dual endpoint on each arc,
+# and the relations used to be checked modulo (determinant - 1) with the
+# full-size minor replaced by 1.  These copies keep the old paths as oracles.
+
+
+def _scan_in_cyclic_interval(lo, x, hi):
+    if lo <= hi:
+        return lo <= x <= hi
+    return x >= lo or x <= hi
+
+
+def _scan_dual_on_arc(n, p, lo, hi):
+    prev = n + 3 if p == 1 else p - 1
+    return _scan_in_cyclic_interval(lo, prev, hi) and _scan_in_cyclic_interval(lo, p, hi)
+
+
+def _scan_spanning_duals(n, arc1, arc2):
+    out = []
+    for d in typea.all_diagonals(n):
+        ends = (d.a, d.b)
+        for first, second in (ends, ends[::-1]):
+            if _scan_dual_on_arc(n, first, *arc1) and _scan_dual_on_arc(n, second, *arc2):
+                out.append(d)
+                break
+    return tuple(sorted(out))
+
+
+def _scan_universal_coeff(n, quad):
+    i, j, k, l = quad
+    return _scan_spanning_duals(n, (j, k), (l, i)), _scan_spanning_duals(n, (k, l), (i, j))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_strip_rule_matches_diagonal_scan(n):
+    for quad in itertools.combinations(range(1, n + 4), 4):
+        assert typea.universal_coeff_typea(n, quad) == _scan_universal_coeff(n, quad), quad
+
+
+def _det_replaced(n, i, j):
+    if (i, j) == (1, n + 1):
+        return typea.matrix_ring(n).one()
+    return typea.interval_minor(n, i, j)
+
+
+def _quadruples(n):
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 2):
+            for k in range(j - 1, n + 1):
+                for l in range(k + 1, n + 2):
+                    yield i, j, k, l
+
+
+def _sides_det_replaced(n, i, j, k, l):
+    ring = typea.matrix_ring(n)
+    ycoef = ring.one()
+    for t in range(j - 1, k + 1):
+        ycoef = ycoef * ring.gen(n + t)
+    lhs = _det_replaced(n, i, k) * _det_replaced(n, j, l)
+    rhs = (
+        ycoef * _det_replaced(n, i, j - 2) * _det_replaced(n, k + 2, l)
+        + _det_replaced(n, i, l) * _det_replaced(n, j, k)
+    )
+    return lhs, rhs
+
+
+def _relations_modulo_det(n):
+    """Each relation with m(1,n+1) replaced by 1, zero or divisible by det - 1."""
+    det_minus_one = typea.det_poly(n) - typea.matrix_ring(n).one()
+    out = []
+    for quad in _quadruples(n):
+        lhs, rhs = _sides_det_replaced(n, *quad)
+        diff = lhs - rhs
+        ok = diff.is_zero()
+        if not ok:
+            try:
+                diff.exact_div(det_minus_one)
+                ok = True
+            except InexactDivision:
+                ok = False
+        out.append((quad, ok))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_relations_match_modulo_det_check(n):
+    got = [(r.quadruple, r.ok) for r in typea.verify_exchange_relations(n)]
+    assert got == _relations_modulo_det(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_replacement_leaves_det_minus_one_times_inner_minor(n):
+    ring = typea.matrix_ring(n)
+    det_minus_one = typea.det_poly(n) - ring.one()
+    quads = [q for q in _quadruples(n) if q[0] == 1 and q[3] == n + 1]
+    assert len(quads) == n * (n + 1) // 2
+    for _, j, k, _ in quads:
+        lhs, rhs = _sides_det_replaced(n, 1, j, k, n + 1)
+        assert lhs - rhs == det_minus_one * typea.interval_minor(n, j, k)
+
+
+def test_wrong_minor_fails_a_relation(monkeypatch, capsys):
+    n = 3
+    # Tabulate first: a patched recurrence would poison the minor cache.
+    table = {
+        (i, j): typea.interval_minor(n, i, j)
+        for i in range(0, n + 3)
+        for j in range(-1, n + 3)
+    }
+    ring = typea.matrix_ring(n)
+    table[(2, 3)] = table[(2, 3)] + ring.one()
+    monkeypatch.setattr(typea, "interval_minor", lambda n_, i, j: table[(i, j)])
+    results = typea.verify_exchange_relations(n)
+    assert any(not r.ok for r in results)
+    assert main(["typea", "--n", str(n)]) == 1
+    assert '"all_relations_ok": false' in capsys.readouterr().out
