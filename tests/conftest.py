@@ -57,7 +57,8 @@ def a3():
 def exchange_graph_instances():
     """Seeds whose whole exchange graph tests compare: principal and universal
     seeds of every orientation of A3, B3, G2 and A2xA1, and of bipartite D4
-    and F4.  Each name is "<principal|universal> <type> <word>"."""
+    and F4; the universal seed of bipartite D5; the principal seed of
+    bipartite E6.  Each name is "<principal|universal> <type> <word>"."""
     out = []
     for spec in ("A3", "B3", "G2", "A2xA1", "D4", "F4"):
         m = cartan_from_text(spec)
@@ -65,7 +66,7 @@ def exchange_graph_instances():
         for c in (bipartite_element(m),) if bipartite_only else all_coxeter_elements(m):
             word = ",".join(str(i + 1) for i in c.order)
             out += [f"{kind} {spec} {word}" for kind in ("principal", "universal")]
-    return out
+    return out + ["universal D5 1,3,2,4,5", "principal E6 1,4,2,3,6,5"]
 
 
 def instance_seed(name):
