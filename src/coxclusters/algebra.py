@@ -177,12 +177,15 @@ class SeedView:
     B: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Relation:
-    """Exchange relation: product of the two paired variables equals the sum of two sides.
+    """Exchange relation x_a x_b = p+ prod x_i^[b_ik]+ + p- prod x_i^[-b_ik]+.
 
-    Each side is a coefficient exponent vector over the semifield generators
-    together with a multiset of variable ids.
+    ``pair`` is the sorted pair (a, b) of exchanged variable ids.  Each of
+    the two sorted ``sides`` is its coefficient exponent vector over the
+    semifield generators, a sign part of the c-vector y_k, with the
+    (variable id, multiplicity) pairs of the matching sign part of column k
+    of B, sorted by id.
     """
 
     pair: tuple[int, int]
@@ -191,9 +194,31 @@ class Relation:
     def is_primitive(self) -> bool:
         return any(not vars_ for _, vars_ in self.sides)
 
+    def renamed(self, names) -> tuple:
+        """(sorted pair, sorted sides) with every variable id v replaced by
+        ``names[v]``: the form in which relations are compared across
+        numberings and against closed formulas."""
+        return (
+            tuple(sorted(names[v] for v in self.pair)),
+            tuple(
+                sorted(
+                    (coef, tuple(sorted((names[v], mult) for v, mult in vars_)))
+                    for coef, vars_ in self.sides
+                )
+            ),
+        )
+
 
 @dataclass(frozen=True)
 class ExchangeGraph:
+    """The whole exchange graph of a seed, in canonical order.
+
+    ``variables`` are the distinct cluster variables sorted by polynomial
+    key; a seed's ``var_ids`` index them.  ``seeds`` are sorted by their
+    var_ids, each ``edges`` pair (a, b) with a < b indexes ``seeds``, and
+    ``relations`` holds each distinct exchange relation once, sorted.
+    """
+
     ring: PolyRing
     n: int
     variables: tuple[LaurentPoly, ...]
@@ -203,6 +228,27 @@ class ExchangeGraph:
 
     def primitive_relations(self) -> tuple[Relation, ...]:
         return tuple(r for r in self.relations if r.is_primitive())
+
+
+def edge_relation(a: SeedView, b: SeedView) -> Relation:
+    """The exchange relation of the edge from seed ``a`` to seed ``b``, read
+    off ``a``: its direction k is the one slot of ``a`` whose variable is
+    not in ``b``.  Either end gives the same relation."""
+    gone = [k for k, v in enumerate(a.var_ids) if v not in b.var_ids]
+    new = set(b.var_ids) - set(a.var_ids)
+    if len(gone) != 1 or len(new) != 1:
+        raise InternalCheckError(
+            f"clusters {a.var_ids} and {b.var_ids} do not differ in exactly one variable"
+        )
+    (k,), (x,) = gone, new
+    pos, neg = _sign_parts(a.coeffs[k])
+    column = [row[k] for row in a.B]
+    # var_ids are sorted, so each side's variables already are.
+    sides = (
+        (pos, tuple((v, e) for v, e in zip(a.var_ids, column) if e > 0)),
+        (neg, tuple((v, -e) for v, e in zip(a.var_ids, column) if e < 0)),
+    )
+    return Relation(pair=tuple(sorted((a.var_ids[k], x))), sides=tuple(sorted(sides)))
 
 
 def relabel_seed(names, coeffs, B):
@@ -228,6 +274,9 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     Every edge costs one exact division: the first time an edge is crossed
     the new variable is divided out of its exchange relation, and the
     reverse crossing reads it from a flip cache keyed by (seed index, slot).
+    The walk carries only ids and integers; the relations are derived after
+    it from the canonical seeds (:func:`edge_relation`), one per distinct
+    exchange.
     """
     n = seed.n
     variables: list[LaurentPoly] = []
@@ -245,21 +294,12 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     index: dict = {start: 0}
     seeds: list = [start]
     edges: set = set()
-    relations: set = set()
     flip_cache: dict = {}
     # ``seeds`` grows while it is walked, which makes the walk breadth-first.
     for cur_index, (ids, coeffs, B) in enumerate(seeds):
         cluster = [variables[v] for v in ids]
         for k in range(n):
             parts = _sign_parts(coeffs[k])
-            side_pos = (
-                parts[0],
-                tuple(sorted((ids[i], B[i][k]) for i in range(n) if B[i][k] > 0)),
-            )
-            side_neg = (
-                parts[1],
-                tuple(sorted((ids[i], -B[i][k]) for i in range(n) if B[i][k] < 0)),
-            )
             new_id = flip_cache.pop((cur_index, k), None)
             if new_id is None:
                 num = _exchange_numerator(seed.ring, cluster, B, k, parts)
@@ -283,12 +323,6 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
             if idx > cur_index:  # the neighbour's walk reads this edge back
                 flip_cache[(idx, neighbor[0].index(new_id))] = ids[k]
             edges.add((min(cur_index, idx), max(cur_index, idx)))
-            relations.add(
-                Relation(
-                    pair=tuple(sorted((ids[k], new_id))),
-                    sides=tuple(sorted((side_pos, side_neg))),
-                )
-            )
 
     # Canonical output ordering, independent of discovery order.
     order = sorted(range(len(variables)), key=lambda v: variables[v].key())
@@ -298,33 +332,17 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     ]
     seed_order = sorted(range(len(seed_views)), key=lambda i: seed_views[i].var_ids)
     seed_remap = {old: new for new, old in enumerate(seed_order)}
+    new_seeds = tuple(seed_views[i] for i in seed_order)
     new_edges = tuple(
         sorted(tuple(sorted((seed_remap[a], seed_remap[b]))) for a, b in edges)
-    )
-    new_relations = tuple(
-        sorted(
-            (
-                Relation(
-                    pair=tuple(sorted(remap[v] for v in rel.pair)),
-                    sides=tuple(
-                        sorted(
-                            (coef, tuple(sorted((remap[v], mult) for v, mult in vars_)))
-                            for coef, vars_ in rel.sides
-                        )
-                    ),
-                )
-                for rel in relations
-            ),
-            key=lambda r: (r.pair, r.sides),
-        )
     )
     return ExchangeGraph(
         ring=seed.ring,
         n=n,
         variables=tuple(variables[v] for v in order),
-        seeds=tuple(seed_views[i] for i in seed_order),
+        seeds=new_seeds,
         edges=new_edges,
-        relations=new_relations,
+        relations=tuple(sorted({edge_relation(new_seeds[a], new_seeds[b]) for a, b in new_edges})),
     )
 
 

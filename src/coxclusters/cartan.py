@@ -23,6 +23,7 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,26 +106,12 @@ def _symmetrizers(n: int, a, components) -> tuple[int, ...]:
                     stack.append(w)
                 elif frac[w] != frac[v] * ratio:
                     raise InvalidCartanMatrix("matrix is not symmetrizable")
-        denom_lcm = 1
-        for i in comp:
-            denom_lcm = _lcm(denom_lcm, frac[i].denominator)
+        denom_lcm = math.lcm(*(frac[i].denominator for i in comp))
         ints = [int(frac[i] * denom_lcm) for i in comp]
-        g = 0
-        for v in ints:
-            g = _gcd(g, v)
+        g = math.gcd(*ints)
         for i, v in zip(comp, ints):
             frac[i] = Fraction(v // g)
     return tuple(int(x) for x in frac)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // _gcd(a, b)
 
 
 def validate(matrix) -> CartanMatrix:

@@ -45,10 +45,8 @@ from .coxeter import (
     precedes,
     primitive_relations,
     psi_bipartite,
-    psi_move,
     root_compat,
     sources,
-    tau,
 )
 from .weyl import Root, apply_word, simple_root
 
@@ -294,52 +292,20 @@ def bipartite_compat_oracle(m: CartanMatrix) -> list[CheckResult]:
     return [_result("compat/bipartite-oracle", _fmt_c(t), ok)]
 
 
-def move_transport(m: CartanMatrix, c: CoxeterElement, source: int) -> list[CheckResult]:
-    """The move bijection intertwines rotations and preserves the pairing."""
-    ct = cyclical_move(m, c, source)
-    labels = [lab for lab, _ in pi_set(m, ct)]
-    psi = {lab: psi_move(m, c, ct, lab, source) for lab in labels}
-    name = f"{_fmt_c(c)}@{source + 1}"
-    bij_ok = len(set(psi.values())) == len(labels)
-    equi_ok = all(psi_move(m, c, ct, tau(m, ct, lab), source) == tau(m, c, psi[lab])
-                  for lab in labels)
-    compat_ok = all(
-        compatibility_degree(m, ct, a, b) == compatibility_degree(m, c, psi[a], psi[b])
-        for a in labels
-        for b in labels
-    )
-    return [
-        _result("moves/psi-bijection", name, bij_ok),
-        _result("moves/psi-equivariance", name, equi_ok),
-        _result("moves/compat-transport", name, compat_ok),
-    ]
-
-
 # -- engine vs closed formulas ---------------------------------------------------
-
-
-def harvest_relations(graph: ExchangeGraph, labels) -> set:
-    """The primitive exchange relations of an explored graph, each as
-    (sorted label pair, sorted sides), with every variable id replaced by its
-    label in ``labels``."""
-    harvested = set()
-    for rel in graph.primitive_relations():
-        pair = tuple(sorted((labels[rel.pair[0]], labels[rel.pair[1]])))
-        sides = tuple(
-            sorted(
-                (coef, tuple(sorted((labels[v], mult) for v, mult in vars_)))
-                for coef, vars_ in rel.sides
-            )
-        )
-        harvested.add((pair, sides))
-    return harvested
 
 
 def closed_relation(pr: PrimitiveRelation) -> tuple:
     """A closed-form relation as (sorted label pair, sorted sides), the form
-    of :func:`harvest_relations`."""
+    of :meth:`Relation.renamed` with variables named by their labels."""
     sides = ((pr.monomial_coef, pr.monomial_vars), (pr.constant_coef, ()))
     return tuple(sorted(pr.left)), tuple(sorted(sides))
+
+
+def shares_cluster_with_initial(cluster_sets) -> set:
+    """The (label, i) pairs such that some cluster holds both the label and
+    the initial label PiLabel(i, 0), in one pass over the clusters."""
+    return {(lab, ini.i) for cs in cluster_sets for ini in cs if ini.m == 0 for lab in cs}
 
 
 @lru_cache(maxsize=None)
@@ -381,16 +347,14 @@ def engine_against_formulas(
     denom_ok = True
     zero_ok = True
     cluster_sets = [frozenset(records[v].label for v in s.var_ids) for s in graph.seeds]
+    shared = shares_cluster_with_initial(cluster_sets)
     for r in records:
         if r.label.m == 0:
             continue
         if r.denom != denominator(m, c, r.label) or not r.denom.is_nonnegative():
             denom_ok = False
         for i in range(m.n):
-            shares = any(
-                r.label in cs and PiLabel(i, 0) in cs for cs in cluster_sets
-            )
-            if (r.denom.d[i] == 0) != shares:
+            if (r.denom.d[i] == 0) != ((r.label, i) in shared):
                 zero_ok = False
     out.append(_result("engine/denominators-closed-form", name, denom_ok))
     out.append(_result("engine/denominator-zero-iff-shared-cluster", name, zero_ok))
@@ -401,7 +365,8 @@ def engine_against_formulas(
     sep_ok = all(check_separation(m, c, r, graph.ring) for r in records)
     out.append(_result("engine/separation-identity", name, sep_ok))
 
-    harvested = harvest_relations(graph, [r.label for r in records])
+    label_of = [r.label for r in records]
+    harvested = {r.renamed(label_of) for r in graph.primitive_relations()}
     closed = {closed_relation(pr) for pr in primitive_relations(m, c)}
     out.append(
         _result(
@@ -448,7 +413,7 @@ def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> 
     useed = universal_seed(m, c)
     graph = explore(useed, cap=cap)
     labels = label_variables(m, c, graph)
-    harvested = harvest_relations(graph, labels)
+    harvested = {r.renamed(labels) for r in graph.primitive_relations()}
     closed = {closed_relation(pr) for pr in universal_primitive_relations(m, c)}
     out.append(_result("universal/primitive-relations-match", name, harvested == closed))
 
@@ -578,46 +543,29 @@ def typea_universal_coefficients(n: int, cap: int = 100_000) -> list[CheckResult
     gen_of_diag = {typea.diagonal_of_label(n, lab): pos for pos, lab in enumerate(gen_labels)}
     diag_of_var = [typea.diagonal_of_label(n, lab) for lab in labels]
 
+    def strip_side(coef_diags, var_diags):
+        coef = [0] * len(gen_labels)
+        for d in coef_diags:
+            coef[gen_of_diag[d]] += 1
+        return tuple(coef), tuple(sorted((d, 1) for d in var_diags if not d.is_boundary(n)))
+
     ok = True
     spec_ok = True
     for rel in graph.relations:
-        d1 = diag_of_var[rel.pair[0]]
-        d2 = diag_of_var[rel.pair[1]]
+        (d1, d2), sides = rel.renamed(diag_of_var)
         quad = typea.crossing_quadruple(d1, d2)
         if quad is None:
             ok = False
             continue
         i, j, k, l = quad
         plus, minus = typea.universal_coeff_typea(n, quad)
-        expect_plus = [0] * len(gen_labels)
-        for d in plus:
-            expect_plus[gen_of_diag[d]] += 1
-        expect_minus = [0] * len(gen_labels)
-        for d in minus:
-            expect_minus[gen_of_diag[d]] += 1
-        plus_vars = tuple(
-            sorted(
-                (gen_of_diag[d], 1)
-                for d in (typea.Diagonal(i, j), typea.Diagonal(k, l))
-                if not d.is_boundary(n)
+        expected = sorted(
+            (
+                strip_side(plus, (typea.Diagonal(i, j), typea.Diagonal(k, l))),
+                strip_side(minus, (typea.Diagonal(i, l), typea.Diagonal(j, k))),
             )
         )
-        minus_vars = tuple(
-            sorted(
-                (gen_of_diag[d], 1)
-                for d in (typea.Diagonal(i, l), typea.Diagonal(j, k))
-                if not d.is_boundary(n)
-            )
-        )
-        # Variable ids in relation sides are engine ids; rebuild in diagonal space.
-        harvested_sides = sorted(
-            (tuple(sorted((gen_of_diag[diag_of_var[v]], mult) for v, mult in vars_)), coef)
-            for coef, vars_ in rel.sides
-        )
-        expected_sides = sorted(
-            [(plus_vars, tuple(expect_plus)), (minus_vars, tuple(expect_minus))]
-        )
-        if harvested_sides != expected_sides:
+        if sides != tuple(expected):
             ok = False
         # Specialization of the strip coefficients to the principal ones.
         spec_plus = sorted(d.b - 2 for d in plus if d.a == 1)

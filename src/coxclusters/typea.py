@@ -110,10 +110,6 @@ def interval_minor(n: int, i: int, j: int) -> LaurentPoly:
     return vj * interval_minor(n, i, j - 1) - yk * interval_minor(n, i, j - 2)
 
 
-def det_poly(n: int) -> LaurentPoly:
-    return interval_minor(n, 1, n + 1)
-
-
 @dataclass(frozen=True)
 class RelationCheck:
     quadruple: tuple[int, int, int, int]
@@ -252,16 +248,6 @@ def label_of_diagonal(n: int, diag: Diagonal) -> PiLabel:
     if not (1 <= k <= n and 0 <= m <= n + 1 - k):
         raise ValueError(f"{diag} is not a diagonal of the {n + 3}-gon")
     return PiLabel(k - 1, m)
-
-
-def all_diagonals(n: int) -> tuple[Diagonal, ...]:
-    out = []
-    for a in range(1, n + 4):
-        for b in range(a + 2, n + 4):
-            d = Diagonal(a, b)
-            if not d.is_boundary(n):
-                out.append(d)
-    return tuple(out)
 
 
 def _arc_vertices(n: int, lo: int, hi: int) -> list[int]:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from coxclusters import (
     CapExceeded,
+    InternalCheckError,
     PiLabel,
     Root,
     Seed,
@@ -28,7 +29,14 @@ from coxclusters import (
     universal_seed,
     verify_move_isomorphism,
 )
-from coxclusters.algebra import SeedView, _mutate_b, _mutate_coeffs, _sign_parts, relabel_seed
+from coxclusters.algebra import (
+    SeedView,
+    _mutate_b,
+    _mutate_coeffs,
+    _sign_parts,
+    edge_relation,
+    relabel_seed,
+)
 from coxclusters.poly import LaurentPoly
 from conftest import exchange_graph_instances, indecomposable_types, instance_seed, weyl_degrees
 
@@ -417,3 +425,71 @@ def test_mutation_involutive_and_skew_symmetrizable(data):
     assert all(diag[i] * Bk[i][j] == -diag[j] * Bk[j][i] for i in range(n) for j in range(n))
     assert Bk == entrywise_mutate_b(B, k)
     assert ck == entrywise_mutate_coeffs(coeffs, B, k)
+
+
+# -- exchange relations as identities ---------------------------------------------------
+
+
+def relation_holds(graph, pair, sides):
+    """x_a x_b equals the sum over the sides of the coefficient monomial times
+    the side's variable powers, as Laurent polynomials in ``graph.ring``."""
+    a, b = pair
+    rhs = graph.ring.zero()
+    for coef, vars_ in sides:
+        term = graph.ring.monomial((0,) * graph.n + coef)
+        for v, mult in vars_:
+            term = term * graph.variables[v] ** mult
+        rhs = rhs + term
+    return graph.variables[a] * graph.variables[b] == rhs
+
+
+@pytest.mark.parametrize(
+    "name", [x for x in exchange_graph_instances() if cartan_from_text(x.split()[1]).n <= 4]
+)
+def test_relations_hold_as_identities(name):
+    graph = explore(instance_seed(name))
+    exchanged = {
+        tuple(sorted(set(graph.seeds[a].var_ids) ^ set(graph.seeds[b].var_ids)))
+        for a, b in graph.edges
+    }
+    assert {r.pair for r in graph.relations} == exchanged
+    for r in graph.relations:
+        assert relation_holds(graph, r.pair, r.sides), r
+        (coef, vars_), other = r.sides
+        bumped = (tuple(e + (t == 0) for t, e in enumerate(coef)), vars_)
+        assert not relation_holds(graph, r.pair, (bumped, other)), r
+
+
+def test_edge_relation_needs_one_exchanged_variable(a2):
+    graph = explore(principal_seed(a2, coxeter_element(a2, (0, 1))))
+    a, b = graph.edges[0]
+    assert edge_relation(graph.seeds[a], graph.seeds[b]) in graph.relations
+    far = next(s for s in graph.seeds if not set(s.var_ids) & set(graph.seeds[a].var_ids))
+    for other in (graph.seeds[a], far):
+        with pytest.raises(InternalCheckError):
+            edge_relation(graph.seeds[a], other)
+
+
+def scan_shares_cluster(cluster_sets, label, i):
+    """Reference for checks.shares_cluster_with_initial: a scan of every
+    cluster for one (label, i)."""
+    return any(label in cs and PiLabel(i, 0) in cs for cs in cluster_sets)
+
+
+@pytest.mark.parametrize("spec", [f"{l}{r}" for l, r in indecomposable_types(4)] + ["A2xA1", "E6"])
+def test_shared_cluster_pairs_match_scan(spec):
+    m = cartan_from_text(spec)
+    for c in [bipartite_element(m)] if spec == "E6" else all_coxeter_elements(m):
+        graph = explore(principal_seed(m, c))
+        labels = label_variables(m, c, graph)
+        cluster_sets = [frozenset(labels[v] for v in s.var_ids) for s in graph.seeds]
+        shared = checks.shares_cluster_with_initial(cluster_sets)
+        old, new = [], []
+        for v, lab in enumerate(labels):
+            if lab.m == 0:
+                continue
+            for i in range(m.n):
+                zero = graph.variables[v].min_exponent(i) == 0
+                old.append((lab, i, zero == scan_shares_cluster(cluster_sets, lab, i)))
+                new.append((lab, i, zero == ((lab, i) in shared)))
+        assert new == old

@@ -8,6 +8,18 @@ from coxclusters.cli import main
 from coxclusters.poly import InexactDivision
 
 
+def all_diagonals(n):
+    """Every diagonal of the (n+3)-gon that is not a side: the scan the
+    closed forms are checked against."""
+    out = []
+    for a in range(1, n + 4):
+        for b in range(a + 2, n + 4):
+            d = typea.Diagonal(a, b)
+            if not d.is_boundary(n):
+                out.append(d)
+    return tuple(out)
+
+
 def test_interval_minor_basics():
     assert str(typea.interval_minor(2, 1, 1)) == "v1"
     assert typea.interval_minor(2, 1, 2) == (
@@ -45,7 +57,7 @@ def test_rank_one_relation_modulo_determinant():
     # Directly: v1 v2 - (y1 + 1) is exactly the determinant minus one.
     ring = typea.matrix_ring(1)
     diff = ring.gen(0) * ring.gen(1) - ring.gen(2) - ring.one()
-    assert diff == typea.det_poly(1) - ring.one()
+    assert diff == typea.interval_minor(1, 1, 2) - ring.one()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -103,7 +115,7 @@ def test_f_poly_matrix_equals_closed_form(n):
 def test_diagonal_bijection():
     assert typea.diagonal_of_label(2, PiLabel(0, 0)) == typea.Diagonal(1, 3)
     for n in (2, 3, 4):
-        for d in typea.all_diagonals(n):
+        for d in all_diagonals(n):
             assert typea.diagonal_of_label(n, typea.label_of_diagonal(n, d)) == d
     with pytest.raises(ValueError):
         typea.label_of_diagonal(3, typea.Diagonal(1, 2))
@@ -160,7 +172,7 @@ def _scan_dual_on_arc(n, p, lo, hi):
 
 def _scan_spanning_duals(n, arc1, arc2):
     out = []
-    for d in typea.all_diagonals(n):
+    for d in all_diagonals(n):
         ends = (d.a, d.b)
         for first, second in (ends, ends[::-1]):
             if _scan_dual_on_arc(n, first, *arc1) and _scan_dual_on_arc(n, second, *arc2):
@@ -209,7 +221,7 @@ def _sides_det_replaced(n, i, j, k, l):
 
 def _relations_modulo_det(n):
     """Each relation with m(1,n+1) replaced by 1, zero or divisible by det - 1."""
-    det_minus_one = typea.det_poly(n) - typea.matrix_ring(n).one()
+    det_minus_one = typea.interval_minor(n, 1, n + 1) - typea.matrix_ring(n).one()
     out = []
     for quad in _quadruples(n):
         lhs, rhs = _sides_det_replaced(n, *quad)
@@ -234,7 +246,7 @@ def test_relations_match_modulo_det_check(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_det_replacement_leaves_det_minus_one_times_inner_minor(n):
     ring = typea.matrix_ring(n)
-    det_minus_one = typea.det_poly(n) - ring.one()
+    det_minus_one = typea.interval_minor(n, 1, n + 1) - ring.one()
     quads = [q for q in _quadruples(n) if q[0] == 1 and q[3] == n + 1]
     assert len(quads) == n * (n + 1) // 2
     for _, j, k, _ in quads:
