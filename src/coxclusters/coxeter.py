@@ -8,7 +8,9 @@ the lexicographically smallest topological order, so equality of
 All per-element derived data (exchange matrix, iteration counts ``h``, the
 star involution, the weight family Pi with its denominator vectors, its
 rotation ``tau``, and the first root family ``beta``) is computed once and
-cached; the cache is safe for concurrent readers.
+cached; the cache is safe for concurrent readers.  The denominators are read
+off the simple reflections that build the rotation chains (see
+:mod:`coxclusters.weyl`), so they are integral by construction.
 
 Both compatibility pairings are fixed integer tables, built on first use and
 then read by index: the label pairing once per (Cartan matrix, Coxeter
@@ -26,14 +28,15 @@ from typing import Iterable, Iterator
 
 from .cartan import CartanMatrix, _graph_components, bipartition
 from .weyl import (
+    InternalCheckError,
     Root,
     Weight,
+    _reflect_word,
     apply_word,
     fundamental_weight,
     reflect_root,
     reflect_weight,
     simple_root,
-    weight_as_root,
 )
 
 
@@ -43,10 +46,6 @@ class InvalidCoxeterWord(ValueError):
 
 class InvalidMove(ValueError):
     """A pair of Coxeter elements not related by a single source rotation."""
-
-
-class InternalCheckError(RuntimeError):
-    """An invariant that can only fail through an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -215,30 +214,31 @@ class _CoxeterData:
         """h, star, and the weight and denominator of every label, in label order.
 
         The denominator of (i, 0) is -alpha_i, that of (i, k) the positive
-        root weight(i, k - 1) - weight(i, k).
+        root weight(i, k - 1) - weight(i, k), read off the reflections that
+        apply c once (:func:`_reflect_word`).  The chain of i ends at the
+        first weight -omega_j, of length h(i), and star(i) = j.
         """
         m, c, n = self.m, self.c, self.m.n
         bound = max(coxeter_number(m)) + 1
+        ends = {tuple(-int(k == j) for k in range(n)): j for j in range(n)}
         h, star = [0] * n, [0] * n
         weight_of: dict[PiLabel, Weight] = {}
         denominator: dict[PiLabel, Root] = {}
         for i in range(n):
-            w = fundamental_weight(n, i)
-            weight_of[PiLabel(i, 0)] = w
+            g = [int(k == i) for k in range(n)]
+            weight_of[PiLabel(i, 0)] = Weight(tuple(g))
             denominator[PiLabel(i, 0)] = -simple_root(n, i)
             for step in range(1, bound + 1):
-                nxt = apply_word(m, c.order, w)
-                diff = weight_as_root(m, w - nxt)
-                if diff is None or not diff.is_positive():
+                diff = _reflect_word(m, c.order, g)
+                if min(diff) < 0 or not any(diff):
                     raise InternalCheckError(
                         f"rotation chain of weight {i} not strictly decreasing at step {step}"
                     )
-                w = nxt
-                weight_of[PiLabel(i, step)] = w
-                denominator[PiLabel(i, step)] = diff
-                neg = [k for k in range(n) if w.g[k] != 0]
-                if len(neg) == 1 and w.g[neg[0]] == -1:
-                    h[i], star[i] = step, neg[0]
+                w = tuple(g)
+                weight_of[PiLabel(i, step)] = Weight(w)
+                denominator[PiLabel(i, step)] = Root(tuple(diff))
+                if w in ends:
+                    h[i], star[i] = step, ends[w]
                     break
             else:
                 raise InternalCheckError(f"rotation chain of weight {i} exceeded order bound")

@@ -2,16 +2,25 @@
 
 Weights are always stored in fundamental-weight coordinates and roots in
 simple-root coordinates; conversions between the two bases are explicit.
+
+A word acts on a weight through one in-place kernel, :func:`_reflect_word`:
+s_j subtracts g_j alpha_j, and alpha_j in weight coordinates is column j of
+the Cartan matrix, so a letter touches only g_j and j's neighbours.  The
+subtracted g_j, summed per letter, are lambda - w(lambda) in simple-root
+coordinates: integral by construction, with no inverse of the Cartan matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .cartan import CartanMatrix
+
+
+class InternalCheckError(RuntimeError):
+    """An invariant that can only fail through an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -86,14 +95,40 @@ def reflect_weight(m: CartanMatrix, i: int, w: Weight) -> Weight:
     return Weight(tuple(w.g[k] - gi * m.a[k][i] for k in range(m.n)))
 
 
+@lru_cache(maxsize=None)
+def _sparse_columns(m: CartanMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Column j of the Cartan matrix off the diagonal, as (k, a[k][j]) pairs."""
+    return tuple(tuple((k, m.a[k][j]) for k in m.neighbors(j)) for j in range(m.n))
+
+
+def _reflect_word(m: CartanMatrix, word: Sequence[int], g: list[int]) -> list[int]:
+    """Apply a word to the weight coordinates ``g`` in place, rightmost letter
+    first; return lambda - w(lambda) in simple-root coordinates, the g_j each
+    letter j subtracted, summed per index.  Letters must lie in 0..n-1."""
+    cols = _sparse_columns(m)
+    out = [0] * m.n
+    for j in reversed(word):
+        gj = g[j]
+        if gj:
+            g[j] = -gj
+            for k, a in cols[j]:
+                g[k] -= gj * a
+            out[j] += gj
+    return out
+
+
 def apply_word(m: CartanMatrix, word: Sequence[int], x):
     """Left action of a product of simple reflections; the rightmost letter acts first."""
-    reflect = reflect_root if isinstance(x, Root) else reflect_weight
     for letter in reversed(word):
         if not 0 <= letter < m.n:
             raise IndexError(f"letter {letter} out of range for rank {m.n}")
-        x = reflect(m, letter, x)
-    return x
+    if isinstance(x, Root):
+        for letter in reversed(word):
+            x = reflect_root(m, letter, x)
+        return x
+    g = list(x.g)
+    _reflect_word(m, word, g)
+    return Weight(tuple(g))
 
 
 def root_to_weight_coords(m: CartanMatrix, r: Root) -> Weight:
@@ -101,42 +136,33 @@ def root_to_weight_coords(m: CartanMatrix, r: Root) -> Weight:
     return Weight(tuple(sum(m.a[k][j] * r.d[j] for j in range(m.n)) for k in range(m.n)))
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(len(mat)):
-        pivot = next((r for r in range(k, len(mat)) if mat[r][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            det = -det
-        det *= mat[k][k]
-        for r in range(k + 1, len(mat)):
-            f = mat[r][k] / mat[k][k]
-            for cc in range(k, len(mat)):
-                mat[r][cc] -= f * mat[k][cc]
-    return int(det)
-
-
 @lru_cache(maxsize=None)
 def _cartan_adjugate(m: CartanMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(det, det * inverse) with integer entries, for divisibility tests.
 
-    Entry (i, k) of the adjugate is the signed minor of the Cartan matrix
-    without row k and column i.
+    Fraction-free Gauss-Jordan elimination (Bareiss) on [A | I]: after step
+    k every entry is a minor of order k + 1, so each division by the previous
+    pivot is exact, and the last step leaves [det * I | adj].  The leading
+    principal minors of a finite-type Cartan matrix are positive, so no row
+    exchange is needed; adj * A = det * I is checked all the same.
     """
     n, a = m.n, m.a
-    adj = tuple(
-        tuple(
-            (-1) ** (i + k)
-            * _det([[a[r][s] for s in range(n) if s != i] for r in range(n) if r != k])
-            for k in range(n)
-        )
-        for i in range(n)
-    )
-    return _det(a), adj
+    rows = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot == 0:
+            break
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = pivot
+    adj = tuple(tuple(row[n:]) for row in rows)
+    product = [[sum(r[k] * a[k][j] for k in range(n)) for j in range(n)] for r in adj]
+    if pivot == 0 or product != [[prev * (i == j) for j in range(n)] for i in range(n)]:
+        raise InternalCheckError("Bareiss elimination did not give adj * A = det * I")
+    return prev, adj
 
 
 def weight_as_root(m: CartanMatrix, w: Weight) -> Root | None:

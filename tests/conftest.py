@@ -21,6 +21,15 @@ def indecomposable_types(max_rank):
     return out
 
 
+# A1-A5, B2-B5, C3-C5, D4, D5, G2, F4, two direct sums and E6-E8: the types
+# on which the reflection kernel's results are compared with reference copies
+# of the code it replaced.
+REFERENCE_TYPES = (
+    [f"{x}{r}" for x, lo in (("A", 1), ("B", 2), ("C", 3)) for r in range(lo, 6)]
+    + ["D4", "D5", "G2", "F4", "A2xA1", "B2xG2", "E6", "E7", "E8"]
+)
+
+
 def weyl_degrees(letter, rank):
     """Degrees of the basic invariants of the Weyl group; the largest is h."""
     if letter == "A":

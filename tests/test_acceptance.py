@@ -28,6 +28,7 @@ from coxclusters import (
 )
 from coxclusters import typea
 from conftest import indecomposable_types
+import typea_suites
 
 _SUITE_CACHE: dict = {}
 
@@ -131,7 +132,7 @@ def test_acceptance_05_type_a_tridiagonal():
     failures = []
     for n in range(1, 6):
         failures += _collect(
-            checks.typea_checks(n),
+            typea_suites.typea_checks(n),
             keep={
                 "typea/exchange-relations",
                 "typea/minor-recurrence-vs-determinant",
@@ -153,7 +154,7 @@ def test_acceptance_06_f_polynomial_matrix_formula():
     failures = []
     for n in range(1, 6):
         failures += _collect(
-            checks.typea_checks(n),
+            typea_suites.typea_checks(n),
             keep={"typea/f-matrix-equals-closed-form", "typea/f-matrix-equals-engine"},
         )
     _report(6, "F-polynomials from the matrix product n<=5", failures, started)
@@ -190,7 +191,7 @@ def test_acceptance_08_universal_coefficients():
         for c in all_coxeter_elements(m):
             failures += _collect(checks.universal_checks(m, c))
     for n in range(1, 5):
-        failures += _collect(checks.typea_universal_coefficients(n))
+        failures += _collect(typea_suites.typea_universal_coefficients(n))
     plus, minus = typea.universal_coeff_typea(3, (2, 4, 5, 6))
     if plus != (typea.Diagonal(1, 5), typea.Diagonal(2, 5)) or minus != (
         typea.Diagonal(3, 6),

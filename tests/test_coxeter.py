@@ -22,6 +22,7 @@ from coxclusters import (
     coxeter_number,
     cyclical_move,
     denominator,
+    fundamental_weight,
     h_vector,
     label_weight,
     move_graph,
@@ -30,16 +31,18 @@ from coxclusters import (
     psi_bipartite,
     psi_move,
     reflect_root,
+    reflect_weight,
     root_compat,
     simple_root,
     sources,
     tau,
     tau_inverse,
+    weight_as_root,
     weight_label,
 )
 from coxclusters import checks, coxeter
 from coxclusters.coxeter import MoveGraph, all_roots
-from conftest import indecomposable_types, weyl_degrees
+from conftest import REFERENCE_TYPES, indecomposable_types, weyl_degrees
 
 
 @pytest.fixture
@@ -447,8 +450,6 @@ def test_primitive_relation_constants_are_denominators(a3):
         if r.monomial_coef == (0, 0, 0):
             gamma = max(first, second, key=lambda lab: lab.m)
             prev = tau_inverse(a3, c, gamma)
-            from coxclusters import weight_as_root
-
             diff = weight_as_root(a3, label_weight(a3, c, prev) - label_weight(a3, c, gamma))
             assert r.constant_coef == diff.d
 
@@ -465,3 +466,42 @@ def test_standard_linear_relation_shape():
         r = rels[pair]
         assert r.monomial_coef == tuple(int(t == k) for t in range(n))
         assert r.constant_coef == (0,) * n
+
+
+def reference_chains(m, c):
+    """h, star and the weight and denominator of every label, by the former
+    step: apply c one reflection at a time, then convert the difference of
+    consecutive weights to root coordinates through the adjugate."""
+    n = m.n
+    h, star, weight_of, denominators = [0] * n, [0] * n, {}, {}
+    for i in range(n):
+        w = fundamental_weight(n, i)
+        weight_of[PiLabel(i, 0)] = w
+        denominators[PiLabel(i, 0)] = -simple_root(n, i)
+        for step in range(1, max(coxeter_number(m)) + 2):
+            nxt = w
+            for letter in reversed(c.order):
+                nxt = reflect_weight(m, letter, nxt)
+            diff = weight_as_root(m, w - nxt)
+            assert diff is not None and diff.is_positive()
+            w = nxt
+            weight_of[PiLabel(i, step)] = w
+            denominators[PiLabel(i, step)] = diff
+            neg = [k for k in range(n) if w.g[k] != 0]
+            if len(neg) == 1 and w.g[neg[0]] == -1:
+                h[i], star[i] = step, neg[0]
+                break
+        else:
+            raise AssertionError(f"rotation chain of weight {i} exceeded order bound")
+    return tuple(h), tuple(star), list(weight_of.items()), list(denominators.items())
+
+
+@pytest.mark.parametrize("spec", REFERENCE_TYPES)
+def test_rotation_chains_match_reference(spec):
+    """Every orientation, but only the bipartite element of E6 and E8."""
+    m = cartan_from_text(spec)
+    elems = (bipartite_element(m),) if spec in ("E6", "E8") else all_coxeter_elements(m)
+    for c in elems:
+        data = coxeter._data(m, c)
+        got = (data.h, data.star, list(data.weight_of.items()), list(data.denominator.items()))
+        assert got == reference_chains(m, c), c.order

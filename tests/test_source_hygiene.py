@@ -1,0 +1,124 @@
+"""Source hygiene without a linter: unused imports and unreferenced private
+functions in ``src/coxclusters``, found with the standard library's ``ast``.
+
+An import counts as used when its bound name appears as a name anywhere in
+the module, string annotations included.  ``__future__`` imports and the
+re-exports of ``__init__.py`` are exempt.  A module-level function whose
+name starts with one underscore must be referenced somewhere in ``src/`` or
+``tests/`` outside its own body.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "coxclusters").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree):
+    """Every identifier read as a name, including inside string annotations."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= used_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def unused_imports(tree):
+    """Names bound by an import and never read, in source order."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    used = used_names(tree)
+    return sorted((line, name) for name, line in bound if name not in used)
+
+
+def _references(tree):
+    """Counter of names and attribute names read in a tree."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+    return out
+
+
+def unreferenced_private_functions(modules, others):
+    """(module, name) of each module-level ``_name`` function of ``modules``
+    (a dict of name to tree) that no tree references outside its own body;
+    ``others`` are further trees, such as the tests, that may reference it."""
+    total = Counter()
+    for tree in [*modules.values(), *others]:
+        total += _references(tree)
+    found = []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            name = getattr(node, "name", "")
+            if (
+                isinstance(node, ast.FunctionDef)
+                and name.startswith("_")
+                and not name.startswith("__")
+                and total[name] == _references(node)[name]
+            ):
+                found.append((mod, name))
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(_parse(path)) == []
+
+
+def test_every_private_function_is_referenced():
+    modules = {p.name: _parse(p) for p in SRC}
+    assert unreferenced_private_functions(modules, [_parse(p) for p in TESTS]) == []
+
+
+def test_unused_import_guard_is_not_vacuous():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from .weyl import Weight, weight_as_root, reflect_weight as rw\n"
+        "def f(x: 'Weight') -> None:\n"
+        "    return rw(x)\n"
+    )
+    assert unused_imports(tree) == [(2, "os"), (3, "weight_as_root")]
+
+
+def test_private_function_guard_is_not_vacuous():
+    lib = ast.parse(
+        "def _used(): pass\n"
+        "def _only_recursive(n): return _only_recursive(n - 1)\n"
+        "def _tested(): pass\n"
+        "def public(): return _used()\n"
+    )
+    tests = ast.parse("import lib\nlib._tested()\n")
+    assert unreferenced_private_functions({"lib.py": lib}, [tests]) == [
+        ("lib.py", "_only_recursive")
+    ]

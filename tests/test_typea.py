@@ -2,10 +2,11 @@ import itertools
 
 import pytest
 
-from coxclusters import PiLabel, cartan_from_label, checks, coxeter_element
+from coxclusters import PiLabel, cartan_from_label, coxeter_element
 from coxclusters import typea
 from coxclusters.cli import main
 from coxclusters.poly import InexactDivision
+import typea_suites
 
 
 def all_diagonals(n):
@@ -142,13 +143,13 @@ def test_degenerate_quadrilateral_rejected():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_strip_rule_against_engine(n):
-    for res in checks.typea_universal_coefficients(n):
+    for res in typea_suites.typea_universal_coefficients(n):
         assert res.passed, res
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_full_typea_suite(n):
-    for res in checks.typea_checks(n):
+    for res in typea_suites.typea_checks(n):
         assert res.passed, res
 
 

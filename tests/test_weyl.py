@@ -1,8 +1,14 @@
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxclusters import (
+    CartanMatrix,
+    InternalCheckError,
     Root,
     Weight,
     apply_word,
@@ -15,7 +21,8 @@ from coxclusters import (
     simple_root,
     weight_as_root,
 )
-from conftest import indecomposable_types
+from coxclusters.weyl import _cartan_adjugate, _reflect_word
+from conftest import REFERENCE_TYPES, indecomposable_types
 
 
 def test_reflection_on_adjacent_root(a2):
@@ -115,3 +122,79 @@ def test_word_action_lands_in_brute_forced_group(spec):
         assert image in group
         back = apply_word(m, word + list(reversed(word)), fundamental_weight(m.n, 0))
         assert back == fundamental_weight(m.n, 0)
+
+
+def test_word_letters_out_of_range_raise(a2):
+    for word in ((0, 2), (-1,), (1, -3, 0)):
+        with pytest.raises(IndexError):
+            apply_word(a2, word, fundamental_weight(2, 0))
+        with pytest.raises(IndexError):
+            apply_word(a2, word, simple_root(2, 0))
+
+
+_HYPOTHESIS_TYPES = ("A1", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "A2xA1", "B2xG2", "A1xA1xA1")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(_HYPOTHESIS_TYPES), st.data())
+def test_word_kernel_matches_reflection_fold(spec, data):
+    """apply_word on a weight is the fold of single reflections, rightmost
+    letter first, and the kernel's vector is lambda - w(lambda) in root
+    coordinates."""
+    m = cartan_from_text(spec)
+    word = data.draw(st.lists(st.integers(0, m.n - 1), max_size=12))
+    w = Weight(tuple(data.draw(st.lists(st.integers(-4, 4), min_size=m.n, max_size=m.n))))
+    folded = reduce(lambda x, j: reflect_weight(m, j, x), reversed(word), w)
+    assert apply_word(m, word, w) == folded
+    g = list(w.g)
+    diff = _reflect_word(m, word, g)
+    assert tuple(g) == folded.g
+    assert root_to_weight_coords(m, Root(tuple(diff))) == w - folded
+
+
+def _fraction_det(rows):
+    """Exact determinant by fraction elimination (the former implementation)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(mat)):
+        pivot = next((r for r in range(k, len(mat)) if mat[r][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            det = -det
+        det *= mat[k][k]
+        for r in range(k + 1, len(mat)):
+            f = mat[r][k] / mat[k][k]
+            for cc in range(k, len(mat)):
+                mat[r][cc] -= f * mat[k][cc]
+    return int(det)
+
+
+def cofactor_adjugate(m):
+    """(det, adjugate) from signed minors, one Fraction determinant each: the
+    reference the fraction-free elimination is compared against."""
+    n, a = m.n, m.a
+    adj = tuple(
+        tuple(
+            (-1) ** (i + k)
+            * _fraction_det([[a[r][s] for s in range(n) if s != i] for r in range(n) if r != k])
+            for k in range(n)
+        )
+        for i in range(n)
+    )
+    return _fraction_det(a), adj
+
+
+@pytest.mark.parametrize("spec", REFERENCE_TYPES)
+def test_adjugate_matches_cofactor_reference(spec):
+    m = cartan_from_text(spec)
+    assert _cartan_adjugate(m) == cofactor_adjugate(m)
+
+
+def test_adjugate_raises_on_singular_matrix():
+    # The affine A1 matrix is not of finite type; validate() rejects it, so
+    # it is built directly to reach the elimination's own check.
+    affine = CartanMatrix(n=2, a=((2, -2), (-2, 2)), d=(1, 1), components=((0, 1),))
+    with pytest.raises(InternalCheckError):
+        _cartan_adjugate(affine)
