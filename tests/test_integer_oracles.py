@@ -15,6 +15,7 @@ here from the raw seeds, g-vectors and clusters:
 Each oracle also gets one corrupted datum that it must reject.
 """
 
+import functools
 import itertools
 from collections import defaultdict
 
@@ -44,25 +45,15 @@ def _instances():
     return out + [f"E6 {','.join(str(i + 1) for i in e6.order)}"]
 
 
-_CACHE: dict = {}
-
-
+@functools.cache
 def instance_data(name):
     """(m, graph, g-vector of each variable, label of each variable, clusters)."""
-    if name not in _CACHE:
-        spec, word = name.split()
-        m = cartan_from_text(spec)
-        c = coxeter_element(m, [int(x) - 1 for x in word.split(",")])
-        graph = explore(principal_seed(m, c))
-        records = records_for(m, c, graph)
-        _CACHE[name] = (
-            m,
-            graph,
-            [r.g.g for r in records],
-            [r.label for r in records],
-            clusters(m, c),
-        )
-    return _CACHE[name]
+    spec, word = name.split()
+    m = cartan_from_text(spec)
+    c = coxeter_element(m, [int(x) - 1 for x in word.split(",")])
+    graph = explore(principal_seed(m, c))
+    records = records_for(m, c, graph)
+    return m, graph, [r.g.g for r in records], [r.label for r in records], clusters(m, c)
 
 
 def sign_coherent(seeds):
