@@ -24,7 +24,7 @@ from .coxeter import (
     PiLabel,
     PrimitiveRelation,
     b_matrix,
-    compatibility_degree,
+    compatibility_table,
     cyclical_move,
     denominator,
     pi_set,
@@ -358,14 +358,15 @@ class ClusterVariableRecord:
     fpoly: LaurentPoly
 
 
-def _grading(m: CartanMatrix, c: CoxeterElement) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _grading(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
     """Degree vector per ring slot: initial variables get unit weights, each
     generator the negated corresponding column of the exchange matrix."""
     n = m.n
     B = b_matrix(m, c)
     degs = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     degs += [tuple(-B[k][j] for k in range(n)) for j in range(n)]
-    return degs
+    return tuple(degs)
 
 
 @lru_cache(maxsize=None)
@@ -447,23 +448,19 @@ def universal_gen_names(m: CartanMatrix, c: CoxeterElement) -> tuple[str, ...]:
 def universal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
     """Initial seed over the tropical semifield with one generator per labelled weight."""
     n = m.n
-    labels = [lab for lab, _ in pi_set(m, c)]
+    labels, rows = compatibility_table(m, c)
     index = {lab: pos for pos, lab in enumerate(labels)}
     gens = universal_gen_names(m, c)
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + gens)
     coeffs = []
     for j in range(n):
-        exps = [0] * len(labels)
-        exps[index[PiLabel(j, 0)]] += 1
-        exps[index[PiLabel(j, 1)]] -= 1
-        for lab in labels:
-            if lab == PiLabel(j, 0) or lab == PiLabel(j, 1):
-                continue
-            e = compatibility_degree(m, c, lab, PiLabel(j, 1))
-            for i in range(n):
-                if precedes(m, c, i, j):
-                    e += m.a[i][j] * compatibility_degree(m, c, lab, PiLabel(i, 1))
-            exps[index[lab]] += e
+        wj, cwj = index[PiLabel(j, 0)], index[PiLabel(j, 1)]
+        # (coefficient, label column) of the degree sum
+        terms = [(1, cwj)] + [
+            (m.a[i][j], index[PiLabel(i, 1)]) for i in range(n) if precedes(m, c, i, j)
+        ]
+        exps = [sum(a * row[k] for a, k in terms) for row in rows]
+        exps[wj], exps[cwj] = 1, -1
         coeffs.append(tuple(exps))
     return Seed(
         ring=ring,
@@ -482,16 +479,18 @@ def universal_primitive_relations(
     They are :func:`primitive_relations` with the coefficients over one
     generator per label: the variable side of delta's relation carries the
     generator of delta, the constant side every generator lambda raised to
-    the compatibility degree of lambda with delta.
+    the compatibility degree of lambda with delta, the column of delta in
+    :func:`compatibility_table`.
     """
-    labels = [lab for lab, _ in pi_set(m, c)]
+    labels, rows = compatibility_table(m, c)
+    columns = tuple(zip(*rows))
     return tuple(
         replace(
             pr,
             monomial_coef=tuple(int(lab == delta) for lab in labels),
-            constant_coef=tuple(compatibility_degree(m, c, lab, delta) for lab in labels),
+            constant_coef=column,
         )
-        for pr, delta in zip(primitive_relations(m, c), labels)
+        for pr, delta, column in zip(primitive_relations(m, c), labels, columns)
     )
 
 

@@ -6,11 +6,11 @@ carries enough detail to locate the instance.  All checks are exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
+    ClusterVariableRecord,
     ExchangeGraph,
     check_separation,
     explore,
@@ -33,10 +33,9 @@ from .coxeter import (
     beta_roots,
     bipartite_element,
     clusters,
-    compatibility_degree,
+    compatibility_table,
     component_coxeter_number,
     coxeter_number,
-    cyclical_move,
     denominator,
     h_vector,
     move_graph,
@@ -44,7 +43,7 @@ from .coxeter import (
     precedes,
     primitive_relations,
     psi_bipartite,
-    root_compat,
+    root_compat_table,
     sources,
 )
 from .weyl import Root, apply_word, simple_root
@@ -133,25 +132,26 @@ def bipartite_h_values(m: CartanMatrix) -> list[CheckResult]:
 
 
 def move_update_rule(m: CartanMatrix) -> list[CheckResult]:
-    """Across every source rotation, h changes by -1 at the source when its
-    star differs, by +1 at indices whose star is the source, else not at all."""
+    """Across every source rotation (an edge of the move graph), h changes by
+    -1 at the source when its star differs, by +1 at indices whose star is
+    the source, else not at all."""
     out = []
-    for c in move_graph(m).elements:
+    graph = move_graph(m)
+    for a, b, s in graph.edges:
+        c, ct = graph.elements[a], graph.elements[b]
         h, star = h_vector(m, c)
-        for s in sources(m, c):
-            ct = cyclical_move(m, c, s)
-            ht, _ = h_vector(m, ct)
-            ok = True
-            for i in range(m.n):
-                if i == s and star[i] != s:
-                    expect = h[i] - 1
-                elif i != s and star[i] == s:
-                    expect = h[i] + 1
-                else:
-                    expect = h[i]
-                if ht[i] != expect:
-                    ok = False
-            out.append(_result("coxeter/move-update-rule", f"{_fmt_c(c)}@{s + 1}", ok))
+        ht, _ = h_vector(m, ct)
+        ok = True
+        for i in range(m.n):
+            if i == s and star[i] != s:
+                expect = h[i] - 1
+            elif i != s and star[i] == s:
+                expect = h[i] + 1
+            else:
+                expect = h[i]
+            if ht[i] != expect:
+                ok = False
+        out.append(_result("coxeter/move-update-rule", f"{_fmt_c(c)}@{s + 1}", ok))
     return out
 
 
@@ -214,60 +214,56 @@ def beta_telescoping(m: CartanMatrix, c: CoxeterElement) -> list[CheckResult]:
 
 
 def compat_symmetry_at_zero(m: CartanMatrix, c: CoxeterElement) -> list[CheckResult]:
-    labels = [lab for lab, _ in pi_set(m, c)]
-    ok = all(
-        (compatibility_degree(m, c, a, b) == 0) == (compatibility_degree(m, c, b, a) == 0)
-        for a, b in itertools.combinations(labels, 2)
-    )
+    _, rows = compatibility_table(m, c)
+    zeros = [tuple(x == 0 for x in row) for row in rows]
+    ok = zeros == list(zip(*zeros))
     return [_result("compat/symmetry-at-zero", _fmt_c(c), ok)]
 
 
 def compat_reduction_agreement(m: CartanMatrix, c: CoxeterElement) -> list[CheckResult]:
-    labels = [lab for lab, _ in pi_set(m, c)]
-    ok = all(
-        compatibility_degree(m, c, a, b)
-        == compatibility_degree(m, c, a, b, use_inverse=True)
-        for a in labels
-        for b in labels
-    )
+    ok = compatibility_table(m, c) == compatibility_table(m, c, use_inverse=True)
     return [_result("compat/forward-backward-reduction", _fmt_c(c), ok)]
 
 
 def compat_duality(m: CartanMatrix, c: CoxeterElement) -> list[CheckResult]:
     """Pairing against the transposed Cartan matrix reverses the arguments."""
     mt = m.transpose()
-    labels = [lab for lab, _ in pi_set(m, c)]
     hd, _ = h_vector(mt, c)
     h, _ = h_vector(m, c)
     if hd != h:
         return [_result("compat/duality", _fmt_c(c), False, "dual h-vector differs")]
-    ok = all(
-        compatibility_degree(m, c, a, b) == compatibility_degree(mt, c, b, a)
-        for a in labels
-        for b in labels
-    )
+    labels, rows = compatibility_table(m, c)
+    dual_labels, dual_rows = compatibility_table(mt, c)
+    dual_index = {lab: k for k, lab in enumerate(dual_labels)}
+    perm = [dual_index[lab] for lab in labels]
+    # dual[a][b] pairs labels[a] with labels[b] against the transpose.
+    dual = [tuple(dual_rows[p][q] for q in perm) for p in perm]
+    ok = rows == tuple(zip(*dual))
     return [_result("compat/duality", _fmt_c(c), ok)]
 
 
 def compat_linear_identity(m: CartanMatrix, c: CoxeterElement) -> list[CheckResult]:
     """Alternating-sum identity tying the pairings against the rotated and the
     plain fundamental weights, including its two exceptional values."""
-    labels = [lab for lab, _ in pi_set(m, c)]
+    labels, rows = compatibility_table(m, c)
+    index = {lab: k for k, lab in enumerate(labels)}
     ok = True
     for j in range(m.n):
-        wj, cwj = PiLabel(j, 0), PiLabel(j, 1)
-        for gamma in labels:
-            lhs = compatibility_degree(m, c, gamma, cwj)
-            rhs = compatibility_degree(m, c, gamma, wj)
-            for i in range(m.n):
-                if precedes(m, c, i, j):
-                    lhs += m.a[i][j] * compatibility_degree(m, c, gamma, PiLabel(i, 1))
-                elif precedes(m, c, j, i):
-                    rhs += m.a[i][j] * compatibility_degree(m, c, gamma, PiLabel(i, 0))
-            if gamma == wj:
+        wj, cwj = index[PiLabel(j, 0)], index[PiLabel(j, 1)]
+        # (coefficient, label column) of each side's sum
+        left = [(1, cwj)] + [
+            (m.a[i][j], index[PiLabel(i, 1)]) for i in range(m.n) if precedes(m, c, i, j)
+        ]
+        right = [(1, wj)] + [
+            (m.a[i][j], index[PiLabel(i, 0)]) for i in range(m.n) if precedes(m, c, j, i)
+        ]
+        for g, row in enumerate(rows):
+            lhs = sum(a * row[k] for a, k in left)
+            rhs = sum(a * row[k] for a, k in right)
+            if g == wj:
                 if not (rhs == 0 and lhs == 1):
                     ok = False
-            elif gamma == cwj:
+            elif g == cwj:
                 if not (lhs == 0 and rhs == 1):
                     ok = False
             elif lhs != -rhs:
@@ -279,15 +275,14 @@ def bipartite_compat_oracle(m: CartanMatrix) -> list[CheckResult]:
     """The label pairing for the bipartite element equals the root pairing
     transported through the almost-positive-roots bijection."""
     t = bipartite_element(m)
-    eps = bipartition(m)
-    labels = [lab for lab, _ in pi_set(m, t)]
-    image = {lab: psi_bipartite(m, t, lab) for lab in labels}
-    bij_ok = len({r.d for r in image.values()}) == len(labels)
-    ok = bij_ok
-    for a in labels:
-        for b in labels:
-            if compatibility_degree(m, t, a, b) != root_compat(m, image[a], image[b], eps):
-                ok = False
+    labels, rows = compatibility_table(m, t)
+    roots, root_rows = root_compat_table(m, bipartition(m))
+    root_index = {r.d: k for k, r in enumerate(roots)}
+    image = [root_index[psi_bipartite(m, t, lab).d] for lab in labels]
+    bij_ok = len(set(image)) == len(labels)
+    ok = bij_ok and all(
+        row == tuple(root_rows[image[a]][b] for b in image) for a, row in enumerate(rows)
+    )
     return [_result("compat/bipartite-oracle", _fmt_c(t), ok)]
 
 
@@ -310,6 +305,14 @@ def shares_cluster_with_initial(cluster_sets) -> set:
 @lru_cache(maxsize=None)
 def _explored(m: CartanMatrix, c: CoxeterElement, cap: int) -> ExchangeGraph:
     return explore(principal_seed(m, c), cap=cap)
+
+
+@lru_cache(maxsize=None)
+def _principal_records(
+    m: CartanMatrix, c: CoxeterElement, cap: int
+) -> tuple[ClusterVariableRecord, ...]:
+    """The records of the principal exchange graph, read once for all suites."""
+    return records_for(m, c, _explored(m, c, cap))
 
 
 def engine_against_formulas(
@@ -335,7 +338,7 @@ def engine_against_formulas(
                        f"{len(graph.variables)} vs {len(labelled)}"))
     out.append(_result("engine/count-formula-per-component", name, per_comp_ok))
 
-    records = records_for(m, c, graph)
+    records = _principal_records(m, c, cap)
     g_ok = {r.g.g for r in records} == {w.g for _, w in labelled}
     out.append(_result("engine/g-vectors-equal-weight-family", name, g_ok))
 
@@ -418,7 +421,7 @@ def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> 
 
     phi = principal_specialization_map(m, c)
     pgraph = _explored(m, c, cap)
-    precs = records_for(m, c, pgraph)
+    precs = _principal_records(m, c, cap)
     principal_seeds = sorted(
         relabel_seed([precs[v].label for v in s.var_ids], s.coeffs, s.B) for s in pgraph.seeds
     )

@@ -86,10 +86,15 @@ def _parse_coxeter(m: CartanMatrix, spec: str) -> list[CoxeterElement]:
     if spec == "all":
         return list(all_coxeter_elements(m))
     try:
-        word = [int(tok) - 1 for tok in spec.split(",")]
-        return [coxeter_element(m, word)]
-    except (ValueError, InvalidCoxeterWord) as exc:
+        letters = tuple(int(tok) for tok in spec.split(","))
+    except ValueError as exc:
         raise UsageError(f"bad coxeter spec {spec!r}: {exc}") from exc
+    # Checked here, in the 1-based letters the user typed.
+    if sorted(letters) != list(range(1, m.n + 1)):
+        raise UsageError(
+            f"bad coxeter spec {spec!r}: {letters!r} is not a permutation of 1..{m.n}"
+        )
+    return [coxeter_element(m, [i - 1 for i in letters])]
 
 
 def _default_cap(args) -> int:

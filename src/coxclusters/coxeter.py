@@ -13,9 +13,10 @@ off the simple reflections that build the rotation chains (see
 :mod:`coxclusters.weyl`), so they are integral by construction.
 
 Both compatibility pairings are fixed integer tables, built on first use and
-then read by index: the label pairing once per (Cartan matrix, Coxeter
-element) and reduction direction, the pairing on almost positive roots once
-per (Cartan matrix, bipartition).
+then read whole or by index: the label pairing once per (Cartan matrix,
+Coxeter element) and reduction direction (:func:`compatibility_table`), the
+pairing on almost positive roots once per (Cartan matrix, bipartition)
+(:func:`root_compat_table`).
 """
 
 from __future__ import annotations
@@ -329,6 +330,25 @@ def tau_inverse(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> PiLabel:
     return _data(m, c).rotate(label, backward=True)
 
 
+def compatibility_table(
+    m: CartanMatrix, c: CoxeterElement, use_inverse: bool = False
+) -> tuple[tuple[PiLabel, ...], tuple[tuple[int, ...], ...]]:
+    """The whole compatibility pairing of (m, c): (labels, rows).
+
+    ``labels`` is the label order of :func:`pi_set` and ``rows[g][d]`` the
+    compatibility degree of (labels[g], labels[d]).  Both labels are rotated
+    together until the first names a fundamental weight (i, 0); then the
+    value is 0 against another fundamental weight, and the alpha_i-coefficient
+    of (one backward rotation of the weight, minus the weight) otherwise.
+    ``use_inverse`` rotates backwards instead; the two reductions must agree
+    (``checks.compat_reduction_agreement``).  Each direction is built once per
+    (m, c) from its own step permutation and then shared, so callers that
+    read many pairs should read rows and columns of this table.
+    """
+    data = _data(m, c)
+    return data.labels, data.backward_compat if use_inverse else data.forward_compat
+
+
 def compatibility_degree(
     m: CartanMatrix,
     c: CoxeterElement,
@@ -336,15 +356,10 @@ def compatibility_degree(
     delta: PiLabel,
     use_inverse: bool = False,
 ) -> int:
-    """Nonnegative pairing on the label set.
+    """Nonnegative pairing of two labels: one entry of :func:`compatibility_table`.
 
-    Both labels are rotated together until the first names a fundamental
-    weight; then the value is 0 against another fundamental weight, and the
-    alpha_i-coefficient of (one backward rotation of the weight, minus the
-    weight) otherwise.  ``use_inverse`` rotates backwards instead; the two
-    reductions must agree and tests assert that they do.  Each direction is
-    one integer table over all label pairs, built once per (m, c) from its
-    own step permutation, so a call is an index lookup.
+    A call costs a cache lookup and two label-index lookups; a loop over
+    label pairs reads the table's rows instead.
     """
     data = _data(m, c)
     table = data.backward_compat if use_inverse else data.forward_compat
@@ -395,7 +410,7 @@ def cyclical_move(m: CartanMatrix, c: CoxeterElement, source: int | None = None)
     """Rotate a source letter of c to the end (reverse all arrows at that source)."""
     if source is None:
         source = c.order[0]
-    if source not in sources(m, c):
+    if source not in c.order or any(precedes(m, c, j, source) for j in m.neighbors(source)):
         raise InvalidMove(f"index {source} is not a source of {c.order}")
     word = tuple(i for i in c.order if i != source) + (source,)
     return coxeter_element(m, word)
@@ -414,8 +429,10 @@ class MoveGraph:
         return len(_graph_components(len(adjacent), adjacent.__getitem__)) <= 1
 
 
+@lru_cache(maxsize=None)
 def move_graph(m: CartanMatrix) -> MoveGraph:
-    """All Coxeter elements (= acyclic orientations) joined by source rotations."""
+    """All Coxeter elements (= acyclic orientations) joined by source rotations;
+    built once per Cartan matrix."""
     edges = m.edges()
     seen: dict[CoxeterElement, int] = {}
     elements: list[CoxeterElement] = []
@@ -528,8 +545,15 @@ def _negative_simple_index(r: Root) -> int | None:
 @lru_cache(maxsize=None)
 def _half_reflection_tables(m: CartanMatrix, eps: tuple[int, ...]):
     """The almost positive roots (positive roots, then -alpha_i by i), their
-    index by coordinates, the index permutation of each half reflection by
-    sign, and the negative-simple index of each root (None if positive)."""
+    index by coordinates, and the pairing table over them.
+
+    Each half reflection is an index permutation of the roots.  Row a walks
+    the orbit of root a under the two involutions in turn, starting with the
+    +1 one, and carries the whole index vector along: after k steps every root
+    b sits at powers[k][b], the same for every row.  Once root a reaches a
+    negative simple root -alpha_i, the row holds the positive part of the
+    alpha_i-coefficient of each carried root.
+    """
     roots = tuple(r for r in all_roots(m) if r.is_positive())
     roots += tuple(-simple_root(m.n, i) for i in range(m.n))
     index = {r.d: k for k, r in enumerate(roots)}
@@ -540,32 +564,57 @@ def _half_reflection_tables(m: CartanMatrix, eps: tuple[int, ...]):
         }
     except KeyError:
         raise InternalCheckError("half reflection leaves the almost positive roots") from None
-    return roots, index, flips, tuple(_negative_simple_index(r) for r in roots)
+    negative_simple = [_negative_simple_index(r) for r in roots]
+    h_bound = 2 * (max(coxeter_number(m)) + 2)
+    powers = [tuple(range(len(roots)))]  # powers[k]: the first k involutions, composed
+    rows = []
+    for a in range(len(roots)):
+        k = 0
+        while negative_simple[powers[k][a]] is None:
+            k += 1
+            if k >= h_bound:
+                raise InternalCheckError("involution orbit missed every negative simple root")
+            if k == len(powers):
+                flip = flips[1 if k % 2 else -1]
+                powers.append(tuple(flip[b] for b in powers[-1]))
+        i = negative_simple[powers[k][a]]
+        rows.append(tuple(max(roots[b].d[i], 0) for b in powers[k]))
+    return roots, index, tuple(rows)
+
+
+def root_compat_table(
+    m: CartanMatrix, eps: tuple[int, ...] | None = None
+) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:
+    """The whole compatibility pairing on almost positive roots: (roots, rows).
+
+    ``roots`` lists the positive roots in coordinate order, then -alpha_i by
+    i; ``rows[a][b]`` pairs roots[a] with roots[b] (see :func:`root_compat`).
+    Built once per (m, eps) from root data alone, sharing no code with the
+    label tables of :func:`compatibility_table`, so the two can check each
+    other.
+    """
+    if eps is None:
+        eps = bipartition(m)
+    roots, _, rows = _half_reflection_tables(m, tuple(eps))
+    return roots, rows
 
 
 def root_compat(
     m: CartanMatrix, alpha: Root, beta: Root, eps: tuple[int, ...] | None = None
 ) -> int:
-    """Compatibility pairing on almost positive roots.
+    """Compatibility pairing on almost positive roots: one entry of
+    :func:`root_compat_table`.
 
     Characterized by: pairing of a negative simple -alpha_i against beta is
     the positive part of beta's alpha_i-coefficient, and invariance under the
-    two sign involutions.  The involutions are index permutations of the
-    almost positive roots, built once per (m, eps) from root data alone.
+    two sign involutions (the products of the simple reflections of one sign
+    of ``eps``, the bipartition by default).  A loop over root pairs reads
+    the table's rows instead.
     """
     if eps is None:
         eps = bipartition(m)
-    roots, index, flips, negative_simple = _half_reflection_tables(m, tuple(eps))
-    a, b = index[alpha.d], index[beta.d]
-    h_bound = 2 * (max(coxeter_number(m)) + 2)
-    sign = 1
-    for _ in range(h_bound):
-        neg = negative_simple[a]
-        if neg is not None:
-            return max(roots[b].d[neg], 0)
-        a, b = flips[sign][a], flips[sign][b]
-        sign = -sign
-    raise InternalCheckError("involution orbit missed every negative simple root")
+    _, index, rows = _half_reflection_tables(m, tuple(eps))
+    return rows[index[alpha.d]][index[beta.d]]
 
 
 def psi_bipartite(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> Root:

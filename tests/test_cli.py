@@ -218,6 +218,19 @@ def test_bad_coxeter_word_is_usage_error(word, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "spec,word,message",
+    [
+        ("E6", "1,2", "(1, 2) is not a permutation of 1..6"),
+        ("A3", "0,1,2", "(0, 1, 2) is not a permutation of 1..3"),
+        ("A2", "2,2", "(2, 2) is not a permutation of 1..2"),
+    ],
+)
+def test_bad_coxeter_word_is_reported_one_based(spec, word, message, capsys):
+    assert main(["verify", "--type", spec, "--coxeter", word]) == 2
+    assert capsys.readouterr().err == f"error: bad coxeter spec {word!r}: {message}\n"
+
+
 def _text_block(out: str, key: str) -> list[str]:
     """The indented lines under the top-level ``key:`` of a text document."""
     lines = out.splitlines()

@@ -216,8 +216,9 @@ def test_cyclical_move_rotation(a3):
     c = coxeter_element(a3, (0, 1, 2))
     # Rotating the first letter to the end, up to commuting letters.
     assert cyclical_move(a3, c) == coxeter_element(a3, (1, 2, 0))
-    with pytest.raises(InvalidMove):
-        cyclical_move(a3, c, source=2)
+    for not_a_source in (2, 3, -1):
+        with pytest.raises(InvalidMove):
+            cyclical_move(a3, c, source=not_a_source)
 
 
 def test_move_graph_sizes(a2, a3):
@@ -355,7 +356,7 @@ def _half_reflection_walk(m, alpha, beta, eps):
     raise AssertionError("involution orbit missed every negative simple root")
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2"])
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "D4", "G2", "F4", "B4", "B2xG2", "E6"])
 def test_root_compat_matches_half_reflection_walk(spec):
     m = cartan_from_text(spec)
     eps = bipartition(m)
