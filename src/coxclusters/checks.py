@@ -307,11 +307,16 @@ def _explored(m: CartanMatrix, c: CoxeterElement, cap: int) -> ExchangeGraph:
     return explore(principal_seed(m, c), cap=cap)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _principal_records(
     m: CartanMatrix, c: CoxeterElement, cap: int
 ) -> tuple[ClusterVariableRecord, ...]:
-    """The records of the principal exchange graph, read once for all suites."""
+    """The records of the principal exchange graph, read once for all suites.
+
+    Only the last instance is kept: ``verify`` runs the suites of one
+    orientation back to back, and keeping the records of every orientation
+    would raise its peak memory.
+    """
     return records_for(m, c, _explored(m, c, cap))
 
 
