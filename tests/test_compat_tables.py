@@ -171,32 +171,38 @@ def test_table_suites_match_per_pair_suites(spec):
 # -- corrupted tables ---------------------------------------------------------------
 
 
-def _corrupted_label_data(m, c):
-    """Fresh data for (m, c) with one forward entry raised from 0 to 1: a
-    compatible pair (a, b), b a rotated fundamental weight (j, 1)."""
+def _serve_corrupted(monkeypatch, m, c, pick):
+    """Serve fresh data for (m, c) whose forward entry ``pick(data, rows)``
+    is raised by 1, in place of the cached data."""
     data = coxeter._CoxeterData(m, c)
     rows = [list(row) for row in data.forward_compat]
-    a, b = next(
-        (a, b)
-        for a, b in itertools.permutations(range(len(rows)), 2)
-        if data.labels[b].m == 1 and rows[a][b] == 0 == rows[b][a]
-    )
-    rows[a][b] = 1
+    a, b = pick(data, rows)
+    rows[a][b] += 1
     data.forward_compat = tuple(map(tuple, rows))
-    return data
+    real = coxeter._data
+    monkeypatch.setattr(
+        coxeter, "_data", lambda mm, cc: data if (mm, cc) == (m, c) else real(mm, cc)
+    )
 
 
 @pytest.mark.parametrize("spec", ["B3", "A4", "G2"])
 def test_corrupted_label_table_fails_every_suite(spec, monkeypatch):
+    """Raise a compatible pair (a, b), b a rotated fundamental weight (j, 1),
+    from 0 to 1.  For a symmetric m (A4) the duality suite reads the
+    corrupted table on both sides, and fails because the pair is no longer
+    symmetric."""
     m = cartan_from_text(spec)
     c = bipartite_element(m)
-    bad = _corrupted_label_data(m, c)
-    real = coxeter._data
-    monkeypatch.setattr(
-        coxeter, "_data", lambda mm, cc: bad if (mm, cc) == (m, c) else real(mm, cc)
+    _serve_corrupted(
+        monkeypatch,
+        m,
+        c,
+        lambda data, rows: next(
+            (a, b)
+            for a, b in itertools.permutations(range(len(rows)), 2)
+            if data.labels[b].m == 1 and rows[a][b] == 0 == rows[b][a]
+        ),
     )
-    # For a symmetric m (A4) the duality suite reads the corrupted table on
-    # both sides, and fails because the corrupted pair is no longer symmetric.
     got = verdicts(m, c)
     assert got == {name: (False, False) for name in got}, got
 
@@ -211,18 +217,9 @@ def test_corrupted_exceptional_value_fails_linear_identity(spec, sign, monkeypat
     c = bipartite_element(m)
     j = bipartition(m).index(sign)
     gamma, delta = (PiLabel(j, 0), PiLabel(j, 1))[::-sign]
-    data = coxeter._CoxeterData(m, c)
-    rows = [list(row) for row in data.forward_compat]
-    rows[data.index[gamma]][data.index[delta]] += 1
-    data.forward_compat = tuple(map(tuple, rows))
-    real = coxeter._data
-    monkeypatch.setattr(
-        coxeter, "_data", lambda mm, cc: data if (mm, cc) == (m, c) else real(mm, cc)
-    )
-    assert (checks.compat_linear_identity(m, c)[0].passed, pair_linear_identity(m, c)) == (
-        False,
-        False,
-    )
+    _serve_corrupted(monkeypatch, m, c, lambda data, rows: (data.index[gamma], data.index[delta]))
+    verdict = (checks.compat_linear_identity(m, c)[0].passed, pair_linear_identity(m, c))
+    assert verdict == (False, False)
 
 
 @pytest.mark.parametrize("spec", ["B3", "D4"])
