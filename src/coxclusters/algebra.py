@@ -415,11 +415,6 @@ def check_separation(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRec
     return gmono * rec.fpoly.evaluate(hat, ring) == rec.expansion
 
 
-def denominator_label_map(m: CartanMatrix, c: CoxeterElement) -> dict:
-    """Map denominator vectors to labels (injective away from the initial cluster)."""
-    return {denominator(m, c, lab).d: lab for lab, _ in pi_set(m, c)}
-
-
 def label_variables(
     m: CartanMatrix, c: CoxeterElement, graph: ExchangeGraph
 ) -> tuple[PiLabel, ...]:
@@ -427,7 +422,8 @@ def label_variables(
 
     Works for any coefficient system, unlike the g-vector route.
     """
-    table = denominator_label_map(m, c)
+    # denominator vectors to labels, injective away from the initial cluster
+    table = {denominator(m, c, lab).d: lab for lab, _ in pi_set(m, c)}
     labels = []
     for z in graph.variables:
         d = tuple(-z.min_exponent(i) for i in range(graph.n))
@@ -491,96 +487,6 @@ def universal_primitive_relations(
             constant_coef=column,
         )
         for pr, delta, column in zip(primitive_relations(m, c), labels, columns)
-    )
-
-
-# -- coefficient specialization ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SemifieldMap:
-    """Monomial map between tropical semifields, one image per source generator."""
-
-    source: tuple[str, ...]
-    target: tuple[str, ...]
-    images: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def identity(gens: tuple[str, ...]) -> "SemifieldMap":
-        k = len(gens)
-        return SemifieldMap(
-            source=gens,
-            target=gens,
-            images=tuple(tuple(int(a == b) for b in range(k)) for a in range(k)),
-        )
-
-    def validate(self) -> None:
-        if len(self.images) != len(self.source):
-            raise ValueError(
-                f"{len(self.images)} generator images for {len(self.source)} generators"
-            )
-        for img in self.images:
-            if len(img) != len(self.target):
-                raise ValueError("image exponent length mismatch")
-            if any(e < 0 for e in img):
-                raise ValueError("generator image has a negative exponent")
-        for t in range(len(self.target)):
-            hits = sum(1 for img in self.images if img[t] > 0)
-            if hits > 1:
-                raise ValueError(
-                    f"two generator images share the factor {self.target[t]!r}"
-                )
-
-    def apply_exps(self, exps: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(self.target)
-        for e, img in zip(exps, self.images):
-            if e:
-                for t, x in enumerate(img):
-                    if x:
-                        out[t] += e * x
-        return tuple(out)
-
-
-def principal_specialization_map(m: CartanMatrix, c: CoxeterElement) -> SemifieldMap:
-    """Send each fundamental-weight generator to the matching principal one, the rest to 1."""
-    labels = [lab for lab, _ in pi_set(m, c)]
-    target = tuple(f"y{i + 1}" for i in range(m.n))
-    images = []
-    for lab in labels:
-        if lab.m == 0:
-            images.append(tuple(int(j == lab.i) for j in range(m.n)))
-        else:
-            images.append((0,) * m.n)
-    return SemifieldMap(source=universal_gen_names(m, c), target=target, images=tuple(images))
-
-
-def specialize(s: Seed, hom: SemifieldMap) -> Seed:
-    """Seed with coefficients pushed through a tropical semifield map.
-
-    Cluster entries map coefficient-wise; across seeds the variables then
-    correspond up to the usual scalar rescaling.
-    """
-    if s.gens != hom.source:
-        raise ValueError("map source does not match the seed's generators")
-    hom.validate()
-    ring = PolyRing(s.ring.names[: s.n] + hom.target)
-    def map_poly(p: LaurentPoly) -> LaurentPoly:
-        out: dict = {}
-        for exps, coef in p.terms.items():
-            key = exps[: s.n] + hom.apply_exps(exps[s.n:])
-            cnew = out.get(key, 0) + coef
-            if cnew:
-                out[key] = cnew
-            else:
-                out.pop(key, None)
-        return ring.from_terms(out)
-
-    return Seed(
-        ring=ring,
-        n=s.n,
-        cluster=tuple(map_poly(p) for p in s.cluster),
-        coeffs=tuple(hom.apply_exps(t) for t in s.coeffs),
-        B=s.B,
     )
 
 

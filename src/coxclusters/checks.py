@@ -10,13 +10,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import (
+    DEFAULT_CAP,
     ClusterVariableRecord,
     ExchangeGraph,
     check_separation,
     explore,
     label_variables,
     principal_seed,
-    principal_specialization_map,
     records_for,
     relabel_seed,
     universal_primitive_relations,
@@ -321,7 +321,7 @@ def _principal_records(
 
 
 def engine_against_formulas(
-    m: CartanMatrix, c: CoxeterElement, cap: int = 100_000
+    m: CartanMatrix, c: CoxeterElement, cap: int = DEFAULT_CAP
 ) -> list[CheckResult]:
     """Run the mutation engine and compare every canonical datum with its
     closed form: variable counts, g-vectors, denominators, constant terms,
@@ -412,9 +412,16 @@ def move_isomorphism_checks(m: CartanMatrix, c: CoxeterElement) -> list[CheckRes
     return out
 
 
-def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> list[CheckResult]:
+def universal_checks(
+    m: CartanMatrix, c: CoxeterElement, cap: int = DEFAULT_CAP
+) -> list[CheckResult]:
     """Explore with one generator per labelled weight and compare the harvested
-    primitive relations and the specialized seeds against the principal run."""
+    primitive relations and the specialized seeds against the principal run.
+
+    Specializing to principal coefficients sends the generator of each label
+    (i, 0) to y_i and every other generator to 1; on c-vectors that is the
+    projection onto the (i, 0) positions of the generator order.
+    """
     name = _fmt_c(c)
     out = []
     useed = universal_seed(m, c)
@@ -424,7 +431,8 @@ def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> 
     closed = {closed_relation(pr) for pr in universal_primitive_relations(m, c)}
     out.append(_result("universal/primitive-relations-match", name, harvested == closed))
 
-    phi = principal_specialization_map(m, c)
+    order = [lab for lab, _ in pi_set(m, c)]
+    fundamental = [order.index(PiLabel(i, 0)) for i in range(m.n)]
     pgraph = _explored(m, c, cap)
     precs = _principal_records(m, c, cap)
     principal_seeds = sorted(
@@ -432,7 +440,9 @@ def universal_checks(m: CartanMatrix, c: CoxeterElement, cap: int = 100_000) -> 
     )
     mapped_seeds = sorted(
         relabel_seed(
-            [labels[v] for v in s.var_ids], [phi.apply_exps(y) for y in s.coeffs], s.B
+            [labels[v] for v in s.var_ids],
+            [tuple(y[p] for p in fundamental) for y in s.coeffs],
+            s.B,
         )
         for s in graph.seeds
     )

@@ -161,11 +161,16 @@ def _record_json(rec) -> dict:
     }
 
 
+def _principal_run(m: CartanMatrix, c: CoxeterElement, args):
+    """Explore from the principal seed; the graph and its records sorted by label."""
+    graph = explore(principal_seed(m, c), cap=_default_cap(args))
+    return graph, sorted(records_for(m, c, graph), key=lambda r: r.label)
+
+
 def _info_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
     h, star = h_vector(m, c)
-    graph = explore(principal_seed(m, c), cap=_default_cap(args))
-    records = records_for(m, c, graph)
-    variables = [_record_json(rec) for rec in sorted(records, key=lambda r: r.label)]
+    graph, records = _principal_run(m, c, args)
+    variables = [_record_json(rec) for rec in records]
     label_names = {rec.label: f"{rec.label.i + 1}.{rec.label.m}" for rec in records}
     cluster_family = [
         sorted(label_names[lab] for lab in cl) for cl in clusters(m, c)
@@ -246,8 +251,7 @@ def cmd_explore(args) -> int:
     m = _load_cartan(args.type)
     docs = []
     for c in _parse_coxeter(m, args.coxeter):
-        graph = explore(principal_seed(m, c), cap=_default_cap(args))
-        records = records_for(m, c, graph)
+        graph, records = _principal_run(m, c, args)
         docs.append(
             {
                 "type": args.type,
@@ -257,7 +261,7 @@ def cmd_explore(args) -> int:
                 "variables": len(graph.variables),
                 "records": [
                     {**_record_json(rec), "expansion": str(rec.expansion)}
-                    for rec in sorted(records, key=lambda r: r.label)
+                    for rec in records
                 ],
             }
         )

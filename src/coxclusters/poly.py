@@ -132,12 +132,7 @@ class PolyRing:
         key = layout.one + (1 << layout.shifts[i])
         return LaurentPoly(self, {key: 1}, key, key)
 
-    def monomial(self, exps: Mapping[int, int] | Sequence[int], coef: int = 1) -> "LaurentPoly":
-        if isinstance(exps, Mapping):
-            vec = [0] * self.nvars
-            for slot, e in exps.items():
-                vec[slot] = e
-            exps = vec
+    def monomial(self, exps: Sequence[int], coef: int = 1) -> "LaurentPoly":
         key = self.layout.pack(tuple(exps))
         if not coef:
             return LaurentPoly(self, {})
@@ -147,9 +142,6 @@ class PolyRing:
         """Polynomial with the given exponent-vector coefficients; zeros are dropped."""
         pack = self.layout.pack
         return LaurentPoly(self, {pack(tuple(e)): c for e, c in terms.items() if c})
-
-    def index(self, name: str) -> int:
-        return self.names.index(name)
 
 
 class _Terms(Mapping):

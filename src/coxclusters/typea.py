@@ -133,7 +133,8 @@ def verify_exchange_relations(n: int) -> tuple[RelationCheck, ...]:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 2):
             for k in range(j - 1, n + 1):
-                ycoef = ring.monomial({n + t: 1 for t in range(j - 1, k + 1)})
+                # y_{j-1} .. y_k sit in slots n + j - 1 .. n + k
+                ycoef = ring.monomial((0,) * (n + j - 1) + (1,) * (k - j + 2) + (0,) * (n - k))
                 outer = ycoef * interval_minor(n, i, j - 2)
                 m_ik = interval_minor(n, i, k)
                 m_jk = interval_minor(n, j, k)

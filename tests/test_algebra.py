@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from coxclusters import (
     PiLabel,
     Root,
     Seed,
-    SemifieldMap,
     Weight,
     all_coxeter_elements,
     bipartite_element,
@@ -22,10 +22,9 @@ from coxclusters import (
     extract_record,
     label_variables,
     mutate,
+    pi_set,
     principal_seed,
-    principal_specialization_map,
     records_for,
-    specialize,
     universal_seed,
     verify_move_isomorphism,
 )
@@ -256,31 +255,23 @@ def test_universal_relations_and_specialization(spec):
         assert res.passed, res
 
 
-def test_specialize_identity_and_errors(a2):
-    c = coxeter_element(a2, (0, 1))
-    s = principal_seed(a2, c)
-    same = specialize(s, SemifieldMap.identity(s.gens))
-    assert same.coeffs == s.coeffs and same.cluster == s.cluster
-    shared = SemifieldMap(source=s.gens, target=("u",), images=((1,), (1,)))
-    with pytest.raises(ValueError, match="share the factor"):
-        specialize(s, shared)
-    negative = SemifieldMap(source=s.gens, target=("u", "v"), images=((1, 0), (0, -1)))
-    with pytest.raises(ValueError, match="negative"):
-        specialize(s, negative)
-    too_few = SemifieldMap(source=s.gens, target=("u",), images=((1,),))
-    with pytest.raises(ValueError, match="1 generator images for 2 generators"):
-        specialize(s, too_few)
+@pytest.mark.parametrize("spec", ["A2", "B3", "G2"])
+def test_corrupted_fundamental_exponent_fails_specialization(spec, monkeypatch):
+    """One extra factor of a fundamental generator in one coefficient row of
+    the universal seed must break the specialization onto the principal seeds."""
+    m = cartan_from_text(spec)
+    c = coxeter_element(m, range(m.n))
+    slot = [lab for lab, _ in pi_set(m, c)].index(PiLabel(m.n - 1, 0))
 
+    def corrupted(m, c):
+        s = universal_seed(m, c)
+        row = list(s.coeffs[0])
+        row[slot] += 1
+        return replace(s, coeffs=(tuple(row),) + s.coeffs[1:])
 
-def test_universal_to_principal_specialization(a2):
-    c = coxeter_element(a2, (0, 1))
-    u = universal_seed(a2, c)
-    phi = principal_specialization_map(a2, c)
-    sp = specialize(u, phi)
-    pr = principal_seed(a2, c)
-    assert sp.coeffs == pr.coeffs
-    assert sp.B == pr.B
-    assert sp.cluster == pr.cluster
+    monkeypatch.setattr(checks, "universal_seed", corrupted)
+    verdicts = {r.suite: r.passed for r in checks.universal_checks(m, c)}
+    assert not verdicts["universal/specializes-onto-principal-seeds"]
 
 
 def test_move_isomorphism_reports(a2):
