@@ -1,20 +1,21 @@
 """Seeds, tropical coefficients, mutation, and exchange-graph exploration.
 
 A seed carries its cluster as exact Laurent polynomials in the initial
-variables, one coefficient per cluster slot, and a skew-symmetrizable
-exchange matrix.  A coefficient is a tropical monomial stored as its plain
-int exponent tuple over the semifield generators: its c-vector.  Mutation
-evaluates the exchange relation with tropical auxiliary addition and
-performs the division in the Laurent ring exactly, checking that the
-remainder vanishes; the c-vectors mutate by the exchange-matrix rule applied
-to the coefficient rows of the extended matrix.  Exploration is a
-breadth-first closure with canonical-form deduplication.
+variables and its extended exchange matrix B~: the skew-symmetrizable
+exchange matrix B with, below it, one row per semifield generator.  Column
+j of the lower part is the c-vector of slot j, the int exponent tuple of the
+tropical coefficient y_j.  Mutation splits column k into its sign parts once:
+they give both sides of the exchange relation, evaluated with tropical
+auxiliary addition and divided out in the Laurent ring exactly (the remainder
+must vanish), and they drive the one matrix-mutation rule that moves B and
+the c-vectors together.  Exploration is a breadth-first closure with
+canonical-form deduplication.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .cartan import CartanMatrix
@@ -42,21 +43,43 @@ class CapExceeded(RuntimeError):
     """Exploration discovered more seeds than the configured cap."""
 
 
+class _ExtendedMatrix:
+    """The two blocks of ``columns``, the extended exchange matrix B~ stored
+    by columns, as read-only row tuples."""
+
+    columns: tuple[tuple[int, ...], ...]
+
+    @property
+    def B(self) -> tuple[tuple[int, ...], ...]:
+        """The exchange matrix: rows 0..n-1 of B~."""
+        return tuple(zip(*self.columns))[: len(self.columns)]
+
+    @property
+    def coeffs(self) -> tuple[tuple[int, ...], ...]:
+        """The c-vectors: the lower part of each column of B~."""
+        n = len(self.columns)
+        return tuple(col[n:] for col in self.columns)
+
+
+def extended_columns(B, coeffs) -> tuple[tuple[int, ...], ...]:
+    """B~ by columns from the exchange matrix and one c-vector per slot."""
+    return tuple(tuple(row[j] for row in B) + tuple(y) for j, y in enumerate(coeffs))
+
+
 @dataclass(frozen=True)
-class Seed:
-    """Labelled seed: cluster, coefficient tuple, exchange matrix.
+class Seed(_ExtendedMatrix):
+    """Labelled seed: cluster and extended exchange matrix.
 
     ``ring`` holds the ambient Laurent slots: the first ``n`` names are the
-    initial cluster variables, the rest the semifield generators.  Each
-    coefficient is a c-vector: the int exponent tuple of a tropical monomial
-    over ``gens``.
+    initial cluster variables, the rest the semifield generators ``gens``.
+    ``columns[j]`` is column j of B~: column j of B, then the c-vector of
+    slot j over ``gens``.
     """
 
     ring: PolyRing
     n: int
     cluster: tuple[LaurentPoly, ...]
-    coeffs: tuple[tuple[int, ...], ...]
-    B: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def gens(self) -> tuple[str, ...]:
@@ -67,100 +90,80 @@ class Seed:
 
 
 def _sign_parts(v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """([v]+, [-v]+) componentwise; for a coefficient, the exponents of the
-    two sides of its exchange relation."""
+    """([v]+, [-v]+) componentwise; for column k of B~, the two sides of the
+    exchange relation in direction k."""
     return tuple(a if a > 0 else 0 for a in v), tuple(-a if a < 0 else 0 for a in v)
 
 
-def _mutate_b(B, k: int):
-    """Matrix mutation: -b_ij if i or j is k, else
-    b_ij + [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ = b_ij + b_ik [sgn(b_ik) b_kj]+."""
-    pos, neg = (list(part) for part in _sign_parts(B[k]))
-    # b_ik + b_ik * (-2) = -b_ik: slot k of either part negates column k.
+def _mutate(columns, k: int, parts):
+    """Matrix mutation of B~ by columns, ``parts`` being ``_sign_parts`` of
+    column k: column k and entry k of every column negate, and column j
+    gains b_kj [sgn(b_kj) column k]+, that is
+    b_ij + [b_ik]+ [b_kj]+ - [-b_ik]+ [-b_kj]+ in every row i."""
+    pos, neg = (list(part) for part in parts)
+    # b_kj + b_kj * (-2) = -b_kj: slot k of either part negates row k.
     pos[k] = neg[k] = -2
     out = []
-    for i, row in enumerate(B):
-        b = row[k]
-        if i == k:
-            out.append(tuple(-x for x in row))
-        elif b:
-            out.append(tuple(x + b * p for x, p in zip(row, pos if b > 0 else neg)))
-        else:
-            out.append(tuple(row))
-    return tuple(out)
-
-
-def _mutate_coeffs(coeffs, B, k: int, parts=None):
-    """c-vector mutation, the matrix rule on the coefficient rows of the
-    extended matrix: y_k inverts and y_j gains b_kj [sgn(b_kj) y_k]+.
-
-    ``parts`` is ``_sign_parts(coeffs[k])`` when the caller already has it.
-    """
-    pos, neg = parts or _sign_parts(coeffs[k])
-    row_k = B[k]
-    out = []
-    for j, yj in enumerate(coeffs):
-        b = row_k[j]
+    for j, col in enumerate(columns):
+        b = col[k]
         if j == k:
-            out.append(tuple(-a for a in yj))
+            out.append(tuple(-x for x in col))
         elif b:
-            out.append(tuple(a + b * p for a, p in zip(yj, pos if b > 0 else neg)))
+            out.append(tuple(x + b * p for x, p in zip(col, pos if b > 0 else neg)))
         else:
-            out.append(yj)
+            out.append(col)
     return tuple(out)
 
 
-def _exchange_numerator(ring: PolyRing, cluster, B, k: int, parts) -> LaurentPoly:
-    """Right-hand side of the exchange relation in direction k; ``parts`` is
-    ``_sign_parts`` of the coefficient y_k.
+def _exchange_numerator(ring: PolyRing, cluster, parts) -> LaurentPoly:
+    """Right-hand side of the exchange relation whose sides are ``parts``,
+    the sign parts of a column of B~: each side is the coefficient monomial
+    of its lower entries times one power per variable of its upper entries.
 
-    Each side is its coefficient monomial times one power per variable;
-    a power with exponent 1 is the variable itself, so in a simply-laced
+    A power with exponent 1 is the variable itself, so in a simply-laced
     type every factor costs exactly one product.
     """
     n = len(cluster)
-    t1 = ring.monomial((0,) * n + parts[0])
-    t2 = ring.monomial((0,) * n + parts[1])
-    for i in range(n):
-        b = B[i][k]
-        if b > 0:
-            t1 = t1 * cluster[i] ** b
-        elif b < 0:
-            t2 = t2 * cluster[i] ** (-b)
-    return t1 + t2
+    sides = []
+    for part in parts:
+        term = ring.monomial((0,) * n + part[n:])
+        for x, e in zip(cluster, part):
+            if e:
+                term = term * x ** e
+        sides.append(term)
+    return sides[0] + sides[1]
 
 
 def mutate(s: Seed, k: int) -> Seed:
     """Seed mutation in direction k; involutive, with verified exact division."""
     if not 0 <= k < s.n:
         raise IndexError(k)
-    parts = _sign_parts(s.coeffs[k])
-    num = _exchange_numerator(s.ring, s.cluster, s.B, k, parts)
+    parts = _sign_parts(s.columns[k])
+    num = _exchange_numerator(s.ring, s.cluster, parts)
     try:
         new_var = num.exact_div(s.cluster[k])
     except InexactDivision as exc:
         raise InternalCheckError(f"exchange relation not Laurent in direction {k}") from exc
     cluster = list(s.cluster)
     cluster[k] = new_var
-    return Seed(
-        ring=s.ring,
-        n=s.n,
-        cluster=tuple(cluster),
-        coeffs=_mutate_coeffs(s.coeffs, s.B, k, parts),
-        B=_mutate_b(s.B, k),
-    )
+    return Seed(ring=s.ring, n=s.n, cluster=tuple(cluster), columns=_mutate(s.columns, k, parts))
+
+
+def _principal_columns(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
+    """B~ = [B; I] by columns: one free tropical generator per cluster slot."""
+    units = (tuple(int(i == j) for j in range(m.n)) for i in range(m.n))
+    return extended_columns(b_matrix(m, c), units)
 
 
 def principal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
-    """Initial seed with one free tropical generator per cluster slot."""
+    """Initial seed with principal coefficients, B~ = [B; I]."""
     n = m.n
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n)))
     return Seed(
         ring=ring,
         n=n,
         cluster=tuple(ring.gen(i) for i in range(n)),
-        coeffs=tuple(tuple(int(i == j) for j in range(n)) for i in range(n)),
-        B=b_matrix(m, c),
+        columns=_principal_columns(m, c),
     )
 
 
@@ -168,13 +171,12 @@ def principal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
 
 
 @dataclass(frozen=True)
-class SeedView:
-    """Canonical form of an unlabelled seed inside an exchange graph; the
-    coefficients are c-vectors, as in :class:`Seed`."""
+class SeedView(_ExtendedMatrix):
+    """Canonical form of an unlabelled seed inside an exchange graph: its
+    variable ids and its B~ by columns, as in :class:`Seed`."""
 
     var_ids: tuple[int, ...]
-    coeffs: tuple[tuple[int, ...], ...]
-    B: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, order=True)
@@ -182,10 +184,10 @@ class Relation:
     """Exchange relation x_a x_b = p+ prod x_i^[b_ik]+ + p- prod x_i^[-b_ik]+.
 
     ``pair`` is the sorted pair (a, b) of exchanged variable ids.  Each of
-    the two sorted ``sides`` is its coefficient exponent vector over the
-    semifield generators, a sign part of the c-vector y_k, with the
-    (variable id, multiplicity) pairs of the matching sign part of column k
-    of B, sorted by id.
+    the two sorted ``sides`` is one sign part of column k of B~, split into
+    its generator exponents (the coefficient p+ or p-) and the
+    (variable id, multiplicity) pairs of its nonzero variable exponents,
+    sorted by id.
     """
 
     pair: tuple[int, int]
@@ -215,8 +217,7 @@ class ExchangeGraph:
 
     ``variables`` are the distinct cluster variables sorted by polynomial
     key; a seed's ``var_ids`` index them.  ``seeds`` are sorted by their
-    var_ids, each ``edges`` pair (a, b) with a < b indexes ``seeds``, and
-    ``relations`` holds each distinct exchange relation once, sorted.
+    var_ids, and each ``edges`` pair (a, b) with a < b indexes ``seeds``.
     """
 
     ring: PolyRing
@@ -224,7 +225,12 @@ class ExchangeGraph:
     variables: tuple[LaurentPoly, ...]
     seeds: tuple[SeedView, ...]
     edges: tuple[tuple[int, int], ...]
-    relations: tuple[Relation, ...]
+
+    @cached_property
+    def relations(self) -> tuple[Relation, ...]:
+        """Each distinct exchange relation once, sorted; read off the edges
+        by :func:`edge_relation` when first asked for."""
+        return tuple(sorted({edge_relation(self.seeds[a], self.seeds[b]) for a, b in self.edges}))
 
     def primitive_relations(self) -> tuple[Relation, ...]:
         return tuple(r for r in self.relations if r.is_primitive())
@@ -232,8 +238,8 @@ class ExchangeGraph:
 
 def edge_relation(a: SeedView, b: SeedView) -> Relation:
     """The exchange relation of the edge from seed ``a`` to seed ``b``, read
-    off ``a``: its direction k is the one slot of ``a`` whose variable is
-    not in ``b``.  Either end gives the same relation."""
+    off column k of ``a``, where k is the one slot of ``a`` whose variable
+    is not in ``b``.  Either end gives the same relation."""
     gone = [k for k, v in enumerate(a.var_ids) if v not in b.var_ids]
     new = set(b.var_ids) - set(a.var_ids)
     if len(gone) != 1 or len(new) != 1:
@@ -241,42 +247,46 @@ def edge_relation(a: SeedView, b: SeedView) -> Relation:
             f"clusters {a.var_ids} and {b.var_ids} do not differ in exactly one variable"
         )
     (k,), (x,) = gone, new
-    pos, neg = _sign_parts(a.coeffs[k])
-    column = [row[k] for row in a.B]
+    n = len(a.var_ids)
     # var_ids are sorted, so each side's variables already are.
-    sides = (
-        (pos, tuple((v, e) for v, e in zip(a.var_ids, column) if e > 0)),
-        (neg, tuple((v, -e) for v, e in zip(a.var_ids, column) if e < 0)),
+    sides = tuple(
+        sorted(
+            (part[n:], tuple((v, e) for v, e in zip(a.var_ids, part) if e))
+            for part in _sign_parts(a.columns[k])
+        )
     )
-    return Relation(pair=tuple(sorted((a.var_ids[k], x))), sides=tuple(sorted(sides)))
+    return Relation(pair=tuple(sorted((a.var_ids[k], x))), sides=sides)
 
 
-def relabel_seed(names, coeffs, B):
+def relabel_seed(names, columns):
     """A seed's slots renamed to ``names`` and sorted by name, with the
-    coefficient rows and the rows and columns of B permuted to match:
-    (sorted names, coeffs, B)."""
-    if len(names) == 1:  # itemgetter of one index returns the item, not a tuple
-        return tuple(names), tuple(coeffs), tuple(map(tuple, B))
-    pick = itemgetter(*sorted(range(len(names)), key=names.__getitem__))
-    return pick(names), pick(coeffs), tuple(map(pick, pick(B)))
+    columns of B~ and the first n entries of each permuted to match:
+    (sorted names, columns)."""
+    n = len(names)
+    if n == 1:  # itemgetter of one index returns the item, not a tuple
+        return tuple(names), tuple(columns)
+    order = sorted(range(n), key=names.__getitem__)
+    pick = itemgetter(*order)
+    pick_entries = itemgetter(*order, *range(n, len(columns[0])))
+    return pick(names), tuple(map(pick_entries, pick(columns)))
 
 
 def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     """Breadth-first closure of a seed under all mutations.
 
     During the walk a seed is named by its slots sorted by interned variable
-    id (:func:`relabel_seed`), and the whole (ids, coeffs, B) triple is the
+    id (:func:`relabel_seed`), and the whole (ids, columns of B~) pair is the
     deduplication key.  Afterwards the variables are renumbered in the
     canonical polynomial order and every seed is sorted again by the new
     ids, so the output ordering is canonical and independent of traversal
     schedule and of the slot order of the start seed.
 
-    Every edge costs one exact division: the first time an edge is crossed
-    the new variable is divided out of its exchange relation, and the
-    reverse crossing reads it from a flip cache keyed by (seed index, slot).
-    The walk carries only ids and integers; the relations are derived after
-    it from the canonical seeds (:func:`edge_relation`), one per distinct
-    exchange.
+    Each step splits column k into its sign parts once; they give the
+    exchange relation and the mutated B~.  Every edge costs one exact
+    division: the first time an edge is crossed the new variable is divided
+    out of its exchange relation, and the reverse crossing reads it from a
+    flip cache keyed by (seed index, slot).  The walk carries only ids and
+    integers; the graph's relations are read off its seeds on demand.
     """
     n = seed.n
     variables: list[LaurentPoly] = []
@@ -290,19 +300,19 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
             variables.append(p)
         return vid
 
-    start = relabel_seed(tuple(intern(p) for p in seed.cluster), seed.coeffs, seed.B)
+    start = relabel_seed(tuple(intern(p) for p in seed.cluster), seed.columns)
     index: dict = {start: 0}
     seeds: list = [start]
     edges: set = set()
     flip_cache: dict = {}
     # ``seeds`` grows while it is walked, which makes the walk breadth-first.
-    for cur_index, (ids, coeffs, B) in enumerate(seeds):
+    for cur_index, (ids, columns) in enumerate(seeds):
         cluster = [variables[v] for v in ids]
         for k in range(n):
-            parts = _sign_parts(coeffs[k])
+            parts = _sign_parts(columns[k])
             new_id = flip_cache.pop((cur_index, k), None)
             if new_id is None:
-                num = _exchange_numerator(seed.ring, cluster, B, k, parts)
+                num = _exchange_numerator(seed.ring, cluster, parts)
                 try:
                     new_poly = num.exact_div(cluster[k])
                 except InexactDivision as exc:
@@ -312,7 +322,7 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
                 new_id = intern(new_poly)
             new_ids = list(ids)
             new_ids[k] = new_id
-            neighbor = relabel_seed(new_ids, _mutate_coeffs(coeffs, B, k, parts), _mutate_b(B, k))
+            neighbor = relabel_seed(new_ids, _mutate(columns, k, parts))
             idx = index.get(neighbor)
             if idx is None:
                 idx = len(seeds)
@@ -327,22 +337,15 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     # Canonical output ordering, independent of discovery order.
     order = sorted(range(len(variables)), key=lambda v: variables[v].key())
     remap = {old: new for new, old in enumerate(order)}
-    seed_views = [
-        SeedView(*relabel_seed([remap[v] for v in ids], coeffs, B)) for ids, coeffs, B in seeds
-    ]
+    seed_views = [SeedView(*relabel_seed([remap[v] for v in ids], cols)) for ids, cols in seeds]
     seed_order = sorted(range(len(seed_views)), key=lambda i: seed_views[i].var_ids)
     seed_remap = {old: new for new, old in enumerate(seed_order)}
-    new_seeds = tuple(seed_views[i] for i in seed_order)
-    new_edges = tuple(
-        sorted(tuple(sorted((seed_remap[a], seed_remap[b]))) for a, b in edges)
-    )
     return ExchangeGraph(
         ring=seed.ring,
         n=n,
         variables=tuple(variables[v] for v in order),
-        seeds=new_seeds,
-        edges=new_edges,
-        relations=tuple(sorted({edge_relation(new_seeds[a], new_seeds[b]) for a, b in new_edges})),
+        seeds=tuple(seed_views[i] for i in seed_order),
+        edges=tuple(sorted(tuple(sorted((seed_remap[a], seed_remap[b]))) for a, b in edges)),
     )
 
 
@@ -405,13 +408,9 @@ def check_separation(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRec
                      ring: PolyRing) -> bool:
     """The expansion must factor as (cluster monomial to the g-vector) times
     the F-polynomial evaluated at the hatted coefficients."""
-    n = m.n
-    B = b_matrix(m, c)
-    hat = []
-    for j in range(n):
-        exps = [B[i][j] for i in range(n)] + [int(k == j) for k in range(n)]
-        hat.append(ring.monomial(exps))
-    gmono = ring.monomial(tuple(rec.g.g) + (0,) * n)
+    # y^_j is the monomial of column j of the principal B~ = [B; I].
+    hat = [ring.monomial(col) for col in _principal_columns(m, c)]
+    gmono = ring.monomial(tuple(rec.g.g) + (0,) * m.n)
     return gmono * rec.fpoly.evaluate(hat, ring) == rec.expansion
 
 
@@ -462,8 +461,7 @@ def universal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
         ring=ring,
         n=n,
         cluster=tuple(ring.gen(i) for i in range(n)),
-        coeffs=tuple(coeffs),
-        B=b_matrix(m, c),
+        columns=extended_columns(b_matrix(m, c), coeffs),
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .algebra import (
     DEFAULT_CAP,
@@ -302,8 +303,14 @@ def shares_cluster_with_initial(cluster_sets) -> set:
     return {(lab, ini.i) for cs in cluster_sets for ini in cs if ini.m == 0 for lab in cs}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _explored(m: CartanMatrix, c: CoxeterElement, cap: int) -> ExchangeGraph:
+    """The principal exchange graph shared by the suites of one orientation.
+
+    Only the last instance is kept, as for :func:`_principal_records`:
+    ``verify`` runs the suites of one orientation back to back, and keeping
+    the graph of every orientation would hold them all until exit.
+    """
     return explore(principal_seed(m, c), cap=cap)
 
 
@@ -311,12 +318,8 @@ def _explored(m: CartanMatrix, c: CoxeterElement, cap: int) -> ExchangeGraph:
 def _principal_records(
     m: CartanMatrix, c: CoxeterElement, cap: int
 ) -> tuple[ClusterVariableRecord, ...]:
-    """The records of the principal exchange graph, read once for all suites.
-
-    Only the last instance is kept: ``verify`` runs the suites of one
-    orientation back to back, and keeping the records of every orientation
-    would raise its peak memory.
-    """
+    """The records of the principal exchange graph, read once for all suites
+    of the last orientation."""
     return records_for(m, c, _explored(m, c, cap))
 
 
@@ -419,8 +422,8 @@ def universal_checks(
     primitive relations and the specialized seeds against the principal run.
 
     Specializing to principal coefficients sends the generator of each label
-    (i, 0) to y_i and every other generator to 1; on c-vectors that is the
-    projection onto the (i, 0) positions of the generator order.
+    (i, 0) to y_i and every other generator to 1; on B~ that keeps the rows
+    of B and the rows of the (i, 0) generators, in the generator order.
     """
     name = _fmt_c(c)
     out = []
@@ -432,18 +435,14 @@ def universal_checks(
     out.append(_result("universal/primitive-relations-match", name, harvested == closed))
 
     order = [lab for lab, _ in pi_set(m, c)]
-    fundamental = [order.index(PiLabel(i, 0)) for i in range(m.n)]
+    project = itemgetter(*range(m.n), *(m.n + order.index(PiLabel(i, 0)) for i in range(m.n)))
     pgraph = _explored(m, c, cap)
     precs = _principal_records(m, c, cap)
     principal_seeds = sorted(
-        relabel_seed([precs[v].label for v in s.var_ids], s.coeffs, s.B) for s in pgraph.seeds
+        relabel_seed([precs[v].label for v in s.var_ids], s.columns) for s in pgraph.seeds
     )
     mapped_seeds = sorted(
-        relabel_seed(
-            [labels[v] for v in s.var_ids],
-            [tuple(y[p] for p in fundamental) for y in s.coeffs],
-            s.B,
-        )
+        relabel_seed([labels[v] for v in s.var_ids], tuple(map(project, s.columns)))
         for s in graph.seeds
     )
     seeds_ok = mapped_seeds == principal_seeds

@@ -394,7 +394,7 @@ def clusters(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, ...], .
                 raise InternalCheckError(
                     f"maximal compatible set of size {clique.bit_count()} != rank {m.n}"
                 )
-            result.append(tuple(labels[v] for v in _bits(clique)))
+            result.append(tuple(_bits(clique)))
             return
         pivot = max(_bits(cand | excl), key=lambda u: (cand & nbrs[u]).bit_count())
         for v in _bits(cand & ~nbrs[pivot]):
@@ -403,7 +403,8 @@ def clusters(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, ...], .
             excl |= 1 << v
 
     expand(0, (1 << len(labels)) - 1, 0)
-    return tuple(sorted(result))
+    # labels is in sorted order, so sorted index tuples map to sorted label tuples.
+    return tuple(tuple(labels[v] for v in clique) for clique in sorted(result))
 
 
 def cyclical_move(m: CartanMatrix, c: CoxeterElement, source: int | None = None) -> CoxeterElement:

@@ -30,10 +30,10 @@ from coxclusters import (
 )
 from coxclusters.algebra import (
     SeedView,
-    _mutate_b,
-    _mutate_coeffs,
+    _mutate,
     _sign_parts,
     edge_relation,
+    extended_columns,
     relabel_seed,
 )
 from coxclusters.poly import LaurentPoly
@@ -97,9 +97,21 @@ def test_mutation_involutive_on_whole_seeds(data):
                 assert mutate(mutate(seed, k), k) == seed
 
 
+def column_rule(B, coeffs, k):
+    """(B, coeffs) mutated in direction k by the column rule on B~."""
+    columns = extended_columns(B, coeffs)
+    view = SeedView(tuple(range(len(B))), _mutate(columns, k, _sign_parts(columns[k])))
+    return view.B, view.coeffs
+
+
+def column_rule_b(B, k):
+    """The column rule on B alone: B~ with no generator rows."""
+    return column_rule(B, [()] * len(B), k)[0]
+
+
 def test_b_mutation_sign_flip():
     B = ((0, 1), (-1, 0))
-    assert _mutate_b(B, 0) == ((0, -1), (1, 0))
+    assert column_rule_b(B, 0) == ((0, -1), (1, 0))
     rng = random.Random(9)
     for _ in range(30):
         n = rng.randrange(2, 5)
@@ -111,9 +123,10 @@ def test_b_mutation_sign_flip():
                 raw[j][i] = -v
         B = tuple(tuple(row) for row in raw)
         k = rng.randrange(n)
-        Bp = _mutate_b(B, k)
+        Bp = column_rule_b(B, k)
         assert all(Bp[i][k] == -B[i][k] and Bp[k][i] == -B[k][i] for i in range(n))
-        assert _mutate_b(Bp, k) == B
+        assert column_rule_b(Bp, k) == B
+        assert Bp == entrywise_mutate_b(B, k)
 
 
 def test_rank_one_exchange():
@@ -199,8 +212,10 @@ def test_exploration_ignores_slot_order(name):
         ring=seed.ring,
         n=seed.n,
         cluster=tuple(seed.cluster[t] for t in perm),
-        coeffs=tuple(seed.coeffs[t] for t in perm),
-        B=tuple(tuple(seed.B[a][b] for b in perm) for a in perm),
+        columns=extended_columns(
+            tuple(tuple(seed.B[a][b] for b in perm) for a in perm),
+            tuple(seed.coeffs[t] for t in perm),
+        ),
     )
     assert explore(permuted) == explore(seed)
 
@@ -265,9 +280,9 @@ def test_corrupted_fundamental_exponent_fails_specialization(spec, monkeypatch):
 
     def corrupted(m, c):
         s = universal_seed(m, c)
-        row = list(s.coeffs[0])
-        row[slot] += 1
-        return replace(s, coeffs=(tuple(row),) + s.coeffs[1:])
+        column = list(s.columns[0])
+        column[s.n + slot] += 1
+        return replace(s, columns=(tuple(column),) + s.columns[1:])
 
     monkeypatch.setattr(checks, "universal_seed", corrupted)
     verdicts = {r.suite: r.passed for r in checks.universal_checks(m, c)}
@@ -311,10 +326,10 @@ def test_c_vector_ops():
     assert _sign_parts((2, -1, 0)) == ((2, 0, 0), (0, 1, 0))
     y = ((2, -1), (0, 1))
     # y_1 times y_0^3 times (y_0 (+) 1)^-3 = (0, 1) + (6, -3) + (0, 3).
-    assert _mutate_coeffs(y, ((0, 3), (-3, 0)), 0) == ((-2, 1), (6, 1))
+    assert column_rule(((0, 3), (-3, 0)), y, 0)[1] == ((-2, 1), (6, 1))
     # y_1 times (y_0 (+) 1)^3 = (0, 1) + (0, -3).
-    assert _mutate_coeffs(y, ((0, -3), (3, 0)), 0) == ((-2, 1), (0, -2))
-    assert _mutate_coeffs(y, ((0, 0), (0, 0)), 1) == ((2, -1), (0, -1))
+    assert column_rule(((0, -3), (3, 0)), y, 0)[1] == ((-2, 1), (0, -2))
+    assert column_rule(((0, 0), (0, 0)), y, 1)[1] == ((2, -1), (0, -1))
 
 
 # -- the mutation rules against the entrywise formulas ---------------------------------
@@ -358,9 +373,9 @@ def test_mutation_rules_match_entrywise_formulas(spec):
         for make in (principal_seed, universal_seed):
             for s in explore(make(m, c)).seeds:
                 for k in range(m.n):
-                    assert _mutate_b(s.B, k) == entrywise_mutate_b(s.B, k)
-                    assert _mutate_coeffs(s.coeffs, s.B, k) == entrywise_mutate_coeffs(
-                        s.coeffs, s.B, k
+                    assert column_rule(s.B, s.coeffs, k) == (
+                        entrywise_mutate_b(s.B, k),
+                        entrywise_mutate_coeffs(s.coeffs, s.B, k),
                     )
 
 
@@ -376,13 +391,12 @@ def test_public_mutate_rederives_every_edge(spec):
             ring=g.ring,
             n=g.n,
             cluster=tuple(g.variables[v] for v in view.var_ids),
-            coeffs=view.coeffs,
-            B=view.B,
+            columns=view.columns,
         )
         for k in range(g.n):
             s1 = mutate(s, k)
             ids = [var_index[p.key()] for p in s1.cluster]
-            j = seed_index[SeedView(*relabel_seed(ids, s1.coeffs, s1.B))]
+            j = seed_index[SeedView(*relabel_seed(ids, s1.columns))]
             assert (min(i, j), max(i, j)) in edges
 
 
@@ -409,9 +423,8 @@ def exchange_data(draw):
 @given(exchange_data())
 def test_mutation_involutive_and_skew_symmetrizable(data):
     B, diag, coeffs, k = data
-    Bk = _mutate_b(B, k)
-    ck = _mutate_coeffs(coeffs, B, k)
-    assert (_mutate_b(Bk, k), _mutate_coeffs(ck, Bk, k)) == (B, coeffs)
+    Bk, ck = column_rule(B, coeffs, k)
+    assert column_rule(Bk, ck, k) == (B, coeffs)
     n = len(B)
     assert all(diag[i] * Bk[i][j] == -diag[j] * Bk[j][i] for i in range(n) for j in range(n))
     assert Bk == entrywise_mutate_b(B, k)

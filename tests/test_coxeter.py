@@ -192,6 +192,9 @@ def test_clusters_counts(a2c, a3):
     assert tuple(sorted([PiLabel(0, 0), PiLabel(1, 0)])) in pentagon
     hexagon = clusters(a3, coxeter_element(a3, (0, 1, 2)))
     assert len(hexagon) == 14
+    # Each cluster and the whole family come in sorted PiLabel order.
+    for family in (pentagon, hexagon):
+        assert list(family) == sorted(tuple(sorted(cl)) for cl in family)
 
 
 @pytest.mark.parametrize("letter,rank", indecomposable_types(8))

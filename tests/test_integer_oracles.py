@@ -129,7 +129,9 @@ def test_oracles_reject_corrupted_data(name):
     seeds = list(graph.seeds)
     # One c-vector of one seed with mixed signs.
     s = seeds[1]
-    bad_seed = SeedView(s.var_ids, ((1, -1) + s.coeffs[0][2:],) + s.coeffs[1:], s.B)
+    n = len(s.var_ids)
+    bad_column = s.columns[0][:n] + (1, -1) + s.columns[0][n + 2:]
+    bad_seed = SeedView(s.var_ids, (bad_column,) + s.columns[1:])
     assert not sign_coherent(seeds[:1] + [bad_seed] + seeds[2:])
     # One g-vector with one more unit in its first coordinate.
     v = seeds[0].var_ids[0]
