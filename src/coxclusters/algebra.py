@@ -8,8 +8,14 @@ tropical coefficient y_j.  Mutation splits column k into its sign parts once:
 they give both sides of the exchange relation, evaluated with tropical
 auxiliary addition and divided out in the Laurent ring exactly (the remainder
 must vanish), and they drive the one matrix-mutation rule that moves B and
-the c-vectors together.  Exploration is a breadth-first closure with
-canonical-form deduplication.
+the c-vectors together.
+
+Exploration is a breadth-first closure with canonical-form deduplication.
+Each edge is crossed forward once, with one exact division, and its reverse
+crossing costs nothing.  Exchange numerators are handed across commuting
+squares: when b_jk = 0, mutation at j leaves column k of B~ alone and x_j
+is absent from the direction-k relation, so mu_j of a seed reuses the seed's
+direction-k numerator for the same variable.
 """
 
 from __future__ import annotations
@@ -233,13 +239,23 @@ class ExchangeGraph:
         return tuple(sorted({edge_relation(self.seeds[a], self.seeds[b]) for a, b in self.edges}))
 
     def primitive_relations(self) -> tuple[Relation, ...]:
-        return tuple(r for r in self.relations if r.is_primitive())
+        """The relations with a side free of variables, sorted.  A side of
+        column k of B~ has no variable exactly when the B-part of the column
+        has no entry of that side's sign, so a relation is built only for
+        the edges whose column k has entries of at most one sign."""
+        found = set()
+        for a, b in self.edges:
+            sa, sb = self.seeds[a], self.seeds[b]
+            k, _ = _exchange(sa, sb)
+            upper = sa.columns[k][: self.n]
+            if min(upper) >= 0 or max(upper) <= 0:
+                found.add(edge_relation(sa, sb))
+        return tuple(sorted(found))
 
 
-def edge_relation(a: SeedView, b: SeedView) -> Relation:
-    """The exchange relation of the edge from seed ``a`` to seed ``b``, read
-    off column k of ``a``, where k is the one slot of ``a`` whose variable
-    is not in ``b``.  Either end gives the same relation."""
+def _exchange(a: SeedView, b: SeedView) -> tuple[int, int]:
+    """(k, x): the one slot k of ``a`` whose variable is not in ``b``, and
+    the one variable x of ``b`` not in ``a``."""
     gone = [k for k, v in enumerate(a.var_ids) if v not in b.var_ids]
     new = set(b.var_ids) - set(a.var_ids)
     if len(gone) != 1 or len(new) != 1:
@@ -247,6 +263,14 @@ def edge_relation(a: SeedView, b: SeedView) -> Relation:
             f"clusters {a.var_ids} and {b.var_ids} do not differ in exactly one variable"
         )
     (k,), (x,) = gone, new
+    return k, x
+
+
+def edge_relation(a: SeedView, b: SeedView) -> Relation:
+    """The exchange relation of the edge from seed ``a`` to seed ``b``, read
+    off column k of ``a``, where k is the one slot of ``a`` whose variable
+    is not in ``b``.  Either end gives the same relation."""
+    k, x = _exchange(a, b)
     n = len(a.var_ids)
     # var_ids are sorted, so each side's variables already are.
     sides = tuple(
@@ -281,12 +305,22 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     ids, so the output ordering is canonical and independent of traversal
     schedule and of the slot order of the start seed.
 
-    Each step splits column k into its sign parts once; they give the
-    exchange relation and the mutated B~.  Every edge costs one exact
-    division: the first time an edge is crossed the new variable is divided
-    out of its exchange relation, and the reverse crossing reads it from a
-    flip cache keyed by (seed index, slot).  The walk carries only ids and
-    integers; the graph's relations are read off its seeds on demand.
+    Each edge is crossed forward once, from the end walked first: its new
+    variable is divided out of the exchange numerator exactly, and column k
+    split into its sign parts gives that numerator and the mutated B~.  The
+    forward crossing marks the far end's slot, and the reverse crossing
+    only clears that mark.  The walk carries only ids, integers and pending
+    numerators; the graph's relations are read off its seeds on demand.
+
+    Numerators are handed across commuting squares.  If b_jk = 0 (j != k),
+    mutation at j leaves column k of B~ unchanged (its entry j is b_jk and
+    column k gains b_jk times a vector), and x_j has exponent 0 in the
+    direction-k relation.  So the relation of x_k in mu_j(S) is the one of
+    seed S in direction k.  After walking S, the numerator of each forward
+    direction k is handed to each forward neighbour mu_j(S) with b_jk = 0,
+    keyed by (that neighbour's index, slot of x_k there), and the neighbour
+    divides it instead of building it again.  A numerator handed to a
+    direction that turns out to be a reverse crossing is dropped.
     """
     n = seed.n
     variables: list[LaurentPoly] = []
@@ -303,23 +337,28 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     start = relabel_seed(tuple(intern(p) for p in seed.cluster), seed.columns)
     index: dict = {start: 0}
     seeds: list = [start]
-    edges: set = set()
-    flip_cache: dict = {}
+    edges: list = []
+    crossed: set = set()  # (seed index, slot) of each edge's unwalked end
+    handed: dict = {}  # (seed index, slot) -> exchange numerator
     # ``seeds`` grows while it is walked, which makes the walk breadth-first.
     for cur_index, (ids, columns) in enumerate(seeds):
         cluster = [variables[v] for v in ids]
+        forward = []
         for k in range(n):
+            if (cur_index, k) in crossed:
+                crossed.remove((cur_index, k))
+                continue
             parts = _sign_parts(columns[k])
-            new_id = flip_cache.pop((cur_index, k), None)
-            if new_id is None:
+            num = handed.pop((cur_index, k), None)
+            if num is None:
                 num = _exchange_numerator(seed.ring, cluster, parts)
-                try:
-                    new_poly = num.exact_div(cluster[k])
-                except InexactDivision as exc:
-                    raise InternalCheckError(
-                        f"exchange relation not Laurent at seed {cur_index}, direction {k}"
-                    ) from exc
-                new_id = intern(new_poly)
+            try:
+                new_poly = num.exact_div(cluster[k])
+            except InexactDivision as exc:
+                raise InternalCheckError(
+                    f"exchange relation not Laurent at seed {cur_index}, direction {k}"
+                ) from exc
+            new_id = intern(new_poly)
             new_ids = list(ids)
             new_ids[k] = new_id
             neighbor = relabel_seed(new_ids, _mutate(columns, k, parts))
@@ -330,9 +369,22 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
                     raise CapExceeded(f"seed cap {cap} exceeded")
                 index[neighbor] = idx
                 seeds.append(neighbor)
-            if idx > cur_index:  # the neighbour's walk reads this edge back
-                flip_cache[(idx, neighbor[0].index(new_id))] = ids[k]
-            edges.add((min(cur_index, idx), max(cur_index, idx)))
+            # The end walked first crosses forward, so idx > cur_index here.
+            back = (idx, neighbor[0].index(new_id))
+            crossed.add(back)
+            handed.pop(back, None)
+            edges.append((cur_index, idx))
+            forward.append((k, num, idx, neighbor[0]))
+        for k, num, _, _ in forward:
+            for j, _, idx, names in forward:
+                if j != k and not columns[k][j]:
+                    key = (idx, names.index(ids[k]))
+                    if key not in crossed:
+                        handed[key] = num
+    if crossed or handed:
+        raise InternalCheckError(
+            f"{len(crossed)} reverse crossings and {len(handed)} handed numerators left pending"
+        )
 
     # Canonical output ordering, independent of discovery order.
     order = sorted(range(len(variables)), key=lambda v: variables[v].key())
@@ -404,14 +456,28 @@ def records_for(
     return tuple(extract_record(m, c, z) for z in graph.variables)
 
 
+def _separation_form(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRecord,
+                     ring: PolyRing) -> LaurentPoly:
+    """x^g F(y^_1, ..., y^_n), y^_j being the monomial of column j of the
+    principal B~ = [B; I]: each term t^a of F goes to the one monomial with
+    exponents (g, 0) + sum_j a_j (column j), keeping its coefficient.  The
+    lower n exponents of that monomial are a, so no two terms meet."""
+    columns = _principal_columns(m, c)
+    out = {}
+    for a, coef in rec.fpoly.terms.items():
+        exps = tuple(rec.g.g) + (0,) * m.n
+        for aj, col in zip(a, columns):
+            if aj:
+                exps = tuple(e + aj * x for e, x in zip(exps, col))
+        out[exps] = coef
+    return ring.from_terms(out)
+
+
 def check_separation(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRecord,
                      ring: PolyRing) -> bool:
     """The expansion must factor as (cluster monomial to the g-vector) times
     the F-polynomial evaluated at the hatted coefficients."""
-    # y^_j is the monomial of column j of the principal B~ = [B; I].
-    hat = [ring.monomial(col) for col in _principal_columns(m, c)]
-    gmono = ring.monomial(tuple(rec.g.g) + (0,) * m.n)
-    return gmono * rec.fpoly.evaluate(hat, ring) == rec.expansion
+    return _separation_form(m, c, rec, ring) == rec.expansion
 
 
 def label_variables(

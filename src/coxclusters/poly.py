@@ -474,18 +474,3 @@ class LaurentPoly:
             else:
                 del out[key]
         return LaurentPoly(ring, out)
-
-    def evaluate(self, values: Sequence["LaurentPoly"], ring: PolyRing) -> "LaurentPoly":
-        """Substitute one polynomial value per slot.
-
-        Negative exponents are only legal on slots whose value is a unit
-        monomial.
-        """
-        total = ring.zero()
-        for exps, coef in self.terms.items():
-            term = ring.monomial((0,) * ring.nvars, coef)
-            for e, val in zip(exps, values):
-                if e:
-                    term = term * val ** e
-            total = total + term
-        return total

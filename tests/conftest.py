@@ -78,9 +78,41 @@ def exchange_graph_instances():
     return out + ["universal D5 1,3,2,4,5", "principal E6 1,4,2,3,6,5"]
 
 
+def instance_element(name):
+    """The Cartan matrix and Coxeter element of an instance name."""
+    _, spec, word = name.split()
+    m = cartan_from_text(spec)
+    return m, coxeter_element(m, [int(x) - 1 for x in word.split(",")])
+
+
 def instance_seed(name):
     """The start seed named by an entry of :func:`exchange_graph_instances`."""
-    kind, spec, word = name.split()
-    m = cartan_from_text(spec)
-    c = coxeter_element(m, [int(x) - 1 for x in word.split(",")])
-    return {"principal": principal_seed, "universal": universal_seed}[kind](m, c)
+    make = {"principal": principal_seed, "universal": universal_seed}[name.split()[0]]
+    return make(*instance_element(name))
+
+
+def step_instances():
+    """Principal and universal seeds of every orientation of A3, B3, C3, G2
+    and A2xA1, and the principal seed of bipartite E6, named as in
+    :func:`instance_seed`."""
+    out = []
+    for spec in ("A3", "B3", "C3", "G2", "A2xA1"):
+        for c in all_coxeter_elements(cartan_from_text(spec)):
+            word = ",".join(str(i + 1) for i in c.order)
+            out += [f"{kind} {spec} {word}" for kind in ("principal", "universal")]
+    word = ",".join(str(i + 1) for i in bipartite_element(cartan_from_text("E6")).order)
+    return out + [f"principal E6 {word}"]
+
+
+def evaluate(p, values, ring):
+    """Substitute one Laurent polynomial of ``ring`` per slot of ``p``, by
+    products and powers.  Negative exponents are only legal on slots whose
+    value is a unit monomial."""
+    total = ring.zero()
+    for exps, coef in p.terms.items():
+        term = ring.monomial((0,) * ring.nvars, coef)
+        for e, val in zip(exps, values):
+            if e:
+                term = term * val ** e
+        total = total + term
+    return total

@@ -31,13 +31,23 @@ from coxclusters import (
 from coxclusters.algebra import (
     SeedView,
     _mutate,
+    _principal_columns,
+    _separation_form,
     _sign_parts,
     edge_relation,
     extended_columns,
     relabel_seed,
 )
 from coxclusters.poly import LaurentPoly
-from conftest import exchange_graph_instances, indecomposable_types, instance_seed, weyl_degrees
+from conftest import (
+    evaluate,
+    exchange_graph_instances,
+    indecomposable_types,
+    instance_element,
+    instance_seed,
+    step_instances,
+    weyl_degrees,
+)
 
 
 @pytest.fixture
@@ -379,25 +389,48 @@ def test_mutation_rules_match_entrywise_formulas(spec):
                     )
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "A2xA1", "E6"])
 def test_public_mutate_rederives_every_edge(spec):
-    m = cartan_from_text(spec)
-    g = explore(principal_seed(m, bipartite_element(m)))
-    var_index = {p.key(): v for v, p in enumerate(g.variables)}
-    seed_index = {s: i for i, s in enumerate(g.seeds)}
-    edges = set(g.edges)
-    for i, view in enumerate(g.seeds):
-        s = Seed(
-            ring=g.ring,
-            n=g.n,
-            cluster=tuple(g.variables[v] for v in view.var_ids),
-            columns=view.columns,
-        )
-        for k in range(g.n):
-            s1 = mutate(s, k)
-            ids = [var_index[p.key()] for p in s1.cluster]
-            j = seed_index[SeedView(*relabel_seed(ids, s1.columns))]
-            assert (min(i, j), max(i, j)) in edges
+    """``mutate`` leads from every seed of every step instance of ``spec``,
+    principal and universal, along an edge of the graph: the walk itself
+    never mutates on a reverse crossing."""
+    for name in step_instances():
+        if name.split()[1] != spec:
+            continue
+        g = explore(instance_seed(name))
+        var_index = {p.key(): v for v, p in enumerate(g.variables)}
+        seed_index = {s: i for i, s in enumerate(g.seeds)}
+        edges = set(g.edges)
+        for i, view in enumerate(g.seeds):
+            s = Seed(
+                ring=g.ring,
+                n=g.n,
+                cluster=tuple(g.variables[v] for v in view.var_ids),
+                columns=view.columns,
+            )
+            for k in range(g.n):
+                s1 = mutate(s, k)
+                ids = [var_index[p.key()] for p in s1.cluster]
+                j = seed_index[SeedView(*relabel_seed(ids, s1.columns))]
+                assert (min(i, j), max(i, j)) in edges, name
+
+
+@pytest.mark.parametrize("name", step_instances())
+def test_primitive_relations_are_the_primitive_filter(name):
+    g = explore(instance_seed(name))
+    assert g.primitive_relations() == tuple(r for r in g.relations if r.is_primitive())
+
+
+@pytest.mark.parametrize("name", [x for x in step_instances() if x.startswith("principal")])
+def test_separation_term_map_matches_evaluation(name):
+    """The term map of the separation check equals x^g times F evaluated at
+    the hatted coefficients by products and powers."""
+    m, c = instance_element(name)
+    g = explore(instance_seed(name))
+    hat = [g.ring.monomial(col) for col in _principal_columns(m, c)]
+    for rec in records_for(m, c, g):
+        gmono = g.ring.monomial(tuple(rec.g.g) + (0,) * m.n)
+        assert _separation_form(m, c, rec, g.ring) == gmono * evaluate(rec.fpoly, hat, g.ring)
 
 
 @st.composite

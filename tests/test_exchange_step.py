@@ -12,17 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxclusters import (
-    InexactDivision,
-    PolyRing,
-    all_coxeter_elements,
-    bipartite_element,
-    cartan_from_text,
-    explore,
-)
-from coxclusters.algebra import _exchange_numerator, _sign_parts
+from coxclusters import InexactDivision, PolyRing, algebra, explore
+from coxclusters.algebra import _exchange, _exchange_numerator, _sign_parts
 from coxclusters.poly import LaurentPoly
-from conftest import instance_seed
+from conftest import instance_seed, step_instances
 
 
 def reference_exact_div(p, divisor):
@@ -162,40 +155,47 @@ def test_exact_div_with_cancellation_matches_reference(a, e, f, c, n, g, h):
 # -- every step of an exploration -------------------------------------------------------
 
 
-def step_instances():
-    """Principal and universal seeds of every orientation of A3, B3, C3, G2
-    and A2xA1, and the principal seed of bipartite E6, named as in
-    :func:`conftest.instance_seed`."""
-    out = []
-    for spec in ("A3", "B3", "C3", "G2", "A2xA1"):
-        for c in all_coxeter_elements(cartan_from_text(spec)):
-            word = ",".join(str(i + 1) for i in c.order)
-            out += [f"{kind} {spec} {word}" for kind in ("principal", "universal")]
-    word = ",".join(str(i + 1) for i in bipartite_element(cartan_from_text("E6")).order)
-    return out + [f"principal E6 {word}"]
-
-
 @pytest.mark.parametrize("name", step_instances())
 def test_exploration_steps_match_reference(name, monkeypatch):
     """Every division ``explore`` makes equals the reference division, and
-    the numerator of every (seed, direction) equals the reference numerator."""
+    its dividend, built or handed on, is the reference numerator of an edge
+    that exchanges its divisor and its quotient.  The numerator of every
+    (seed, direction) equals the reference numerator."""
     exact_div = LaurentPoly.exact_div
     divisions = []
 
     def checked(self, other):
         quotient = exact_div(self, other)
         assert quotient == reference_exact_div(self, other)
-        divisions.append(1)
+        divisions.append((self, other, quotient))
         return quotient
 
     monkeypatch.setattr(LaurentPoly, "exact_div", checked)
     graph = explore(instance_seed(name))
     monkeypatch.undo()
     assert len(divisions) == len(graph.edges)
-    for view in graph.seeds:
-        cluster = [graph.variables[v] for v in view.var_ids]
-        for k in range(graph.n):
-            column = view.columns[k]
-            assert _exchange_numerator(
-                graph.ring, cluster, _sign_parts(column)
-            ) == reference_exchange_numerator(graph.ring, cluster, column)
+    numerators = {}
+    for a, b in graph.edges:
+        for s, t in ((graph.seeds[a], graph.seeds[b]), (graph.seeds[b], graph.seeds[a])):
+            cluster = [graph.variables[v] for v in s.var_ids]
+            column = s.columns[_exchange(s, t)[0]]
+            reference = reference_exchange_numerator(graph.ring, cluster, column)
+            assert _exchange_numerator(graph.ring, cluster, _sign_parts(column)) == reference
+            numerators.setdefault(frozenset(s.var_ids) ^ frozenset(t.var_ids), []).append(reference)
+    var_index = {p.key(): v for v, p in enumerate(graph.variables)}
+    for dividend, divisor, quotient in divisions:
+        assert dividend in numerators[frozenset(var_index[p.key()] for p in (divisor, quotient))]
+
+
+def test_numerators_are_shared_across_commuting_squares(monkeypatch):
+    """Bipartite E6 builds fewer numerators than it has edges, and at least
+    one per distinct exchange relation."""
+    built = []
+
+    def counting(*args):
+        built.append(1)
+        return _exchange_numerator(*args)
+
+    monkeypatch.setattr(algebra, "_exchange_numerator", counting)
+    graph = explore(instance_seed(step_instances()[-1]))
+    assert len(graph.relations) <= len(built) < len(graph.edges)

@@ -11,6 +11,7 @@ from coxclusters.algebra import explore, label_variables, records_for, universal
 from coxclusters.cartan import cartan_from_label
 from coxclusters.checks import CheckResult, _explored, _result
 from coxclusters.coxeter import coxeter_element, pi_set
+from conftest import evaluate
 
 
 def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
@@ -85,7 +86,7 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
         for j in range(i, n + 2):
             if (i, j) == (1, n + 1):
                 continue
-            minors.add(typea.interval_minor(n, i, j).evaluate(values, engine_ring))
+            minors.add(evaluate(typea.interval_minor(n, i, j), values, engine_ring))
     count_expect = (n + 1) * (n + 2) // 2 - 1
     set_ok = minors == set(graph.variables) and len(minors) == count_expect
     out.append(_result("typea/variables-are-interval-minors", name, set_ok,
