@@ -5,12 +5,12 @@ induce the same acyclic orientation of the Coxeter graph are normalized to
 the lexicographically smallest topological order, so equality of
 :class:`CoxeterElement` values is equality of orientations.
 
-All per-element derived data (exchange matrix, iteration counts ``h``, the
-star involution, the weight family Pi with its denominator vectors, its
-rotation ``tau``, and the first root family ``beta``) is computed once and
-cached; the cache is safe for concurrent readers.  The denominators are read
-off the simple reflections that build the rotation chains (see
-:mod:`coxclusters.weyl`), so they are integral by construction.
+Per element, one walk of the rotation chains gives ``h``, the star
+involution, and each label's weight and denominator as integer tuples; the
+denominators are read off the simple reflections that build the chains (see
+:mod:`coxclusters.weyl`), so they are integral by construction.  The label
+objects of Pi, their rotation ``tau`` and the first root family ``beta`` are
+built from those tuples on first read, and everything is cached per element.
 
 Both compatibility pairings are fixed integer tables, built on first use and
 then read whole or by index: the label pairing once per (Cartan matrix,
@@ -25,7 +25,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .cartan import CartanMatrix, _graph_components, bipartition
 from .weyl import (
@@ -138,16 +138,28 @@ def b_matrix(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
 class _CoxeterData:
     """Derived tables for one (CartanMatrix, CoxeterElement) pair.
 
-    The rotation chains, with their weights and denominators, are computed
-    eagerly; the label lookups, the compatibility tables and the first root
-    family only on demand.
+    The rotation chains are walked eagerly, once, and kept as plain integer
+    tuples: h, star, and each label's weight and denominator coordinates in
+    label order.  The label objects (``labels``, ``weight_of``,
+    ``denominator``), the label lookups, the compatibility tables and the
+    first root family are built from those tuples on first read.
     """
 
     def __init__(self, m: CartanMatrix, c: CoxeterElement):
-        self.m = m
-        self.c = c
-        self.h, self.star, self.weight_of, self.denominator = self._iterate_chains()
-        self.labels: tuple[PiLabel, ...] = tuple(self.weight_of)
+        self.m, self.c = m, c
+        self.h, self.star, self._weights, self._diffs = self._iterate_chains()
+
+    @cached_property
+    def labels(self) -> tuple[PiLabel, ...]:
+        return tuple(PiLabel(i, k) for i in range(self.m.n) for k in range(self.h[i] + 1))
+
+    @cached_property
+    def weight_of(self) -> dict[PiLabel, Weight]:
+        return dict(zip(self.labels, map(Weight, self._weights)))
+
+    @cached_property
+    def denominator(self) -> dict[PiLabel, Root]:
+        return dict(zip(self.labels, map(Root, self._diffs)))
 
     @cached_property
     def index(self) -> dict[PiLabel, int]:
@@ -165,13 +177,9 @@ class _CoxeterData:
         """tau(label), or tau^-1(label) when ``backward``."""
         i, k = label.i, label.m
         if backward:
-            if k > 0:
-                return PiLabel(i, k - 1)
             j = self.star[i]  # star is an involution
-            return PiLabel(j, self.h[j])
-        if k < self.h[i]:
-            return PiLabel(i, k + 1)
-        return PiLabel(self.star[i], 0)
+            return PiLabel(i, k - 1) if k else PiLabel(j, self.h[j])
+        return PiLabel(i, k + 1) if k < self.h[i] else PiLabel(self.star[i], 0)
 
     def _step(self, backward: bool) -> tuple[int, ...]:
         """One rotation step as a permutation of label indices."""
@@ -181,9 +189,8 @@ class _CoxeterData:
         """table[g][d]: rotate both labels k times, k the steps that take
         labels[g] to a fundamental weight (i, 0); then the alpha_i-coefficient
         of the rotated d's denominator, or 0 when it is a fundamental weight."""
-        labels = self.labels
-        step = self._step(backward)
-        coords = [(0,) * self.m.n if lab.m == 0 else self.denominator[lab].d for lab in labels]
+        labels, step = self.labels, self._step(backward)
+        coords = [(0,) * self.m.n if lab.m == 0 else d for lab, d in zip(labels, self._diffs)]
         powers = [tuple(range(len(labels)))]  # powers[k] = step^k
         rows = []
         for g in range(len(labels)):
@@ -200,19 +207,22 @@ class _CoxeterData:
 
     @cached_property
     def label_of(self) -> dict[tuple[int, ...], PiLabel]:
-        table: dict[tuple[int, ...], PiLabel] = {}
-        for lab, w in self.weight_of.items():
-            if w.g in table:
-                raise InternalCheckError("weights in Pi are not pairwise distinct")
-            table[w.g] = lab
+        table = dict(zip(self._weights, self.labels))
+        if len(table) != len(self.labels):
+            raise InternalCheckError("weights in Pi are not pairwise distinct")
         return table
 
     @cached_property
     def betas(self) -> tuple[Root, ...]:
-        return self._beta_roots()
+        m, order, n = self.m, self.c.order, self.m.n
+        betas: list[Root | None] = [None] * n
+        for pos, letter in enumerate(order):
+            betas[letter] = apply_word(m, order[:pos], simple_root(n, letter))
+        return tuple(betas)
 
     def _iterate_chains(self):
-        """h, star, and the weight and denominator of every label, in label order.
+        """h, star, and the weight and denominator coordinates of every label,
+        in label order, as integer tuples.
 
         The denominator of (i, 0) is -alpha_i, that of (i, k) the positive
         root weight(i, k - 1) - weight(i, k), read off the reflections that
@@ -223,12 +233,11 @@ class _CoxeterData:
         bound = max(coxeter_number(m)) + 1
         ends = {tuple(-int(k == j) for k in range(n)): j for j in range(n)}
         h, star = [0] * n, [0] * n
-        weight_of: dict[PiLabel, Weight] = {}
-        denominator: dict[PiLabel, Root] = {}
+        weights, diffs = [], []
         for i in range(n):
             g = [int(k == i) for k in range(n)]
-            weight_of[PiLabel(i, 0)] = Weight(tuple(g))
-            denominator[PiLabel(i, 0)] = -simple_root(n, i)
+            weights.append(tuple(g))
+            diffs.append(tuple(-x for x in g))
             for step in range(1, bound + 1):
                 diff = _reflect_word(m, c.order, g)
                 if min(diff) < 0 or not any(diff):
@@ -236,21 +245,14 @@ class _CoxeterData:
                         f"rotation chain of weight {i} not strictly decreasing at step {step}"
                     )
                 w = tuple(g)
-                weight_of[PiLabel(i, step)] = Weight(w)
-                denominator[PiLabel(i, step)] = Root(tuple(diff))
+                weights.append(w)
+                diffs.append(tuple(diff))
                 if w in ends:
                     h[i], star[i] = step, ends[w]
                     break
             else:
                 raise InternalCheckError(f"rotation chain of weight {i} exceeded order bound")
-        return tuple(h), tuple(star), weight_of, denominator
-
-    def _beta_roots(self) -> tuple[Root, ...]:
-        m, order, n = self.m, self.c.order, self.m.n
-        betas: list[Root | None] = [None] * n
-        for pos, letter in enumerate(order):
-            betas[letter] = apply_word(m, order[:pos], simple_root(n, letter))
-        return tuple(betas)
+        return tuple(h), tuple(star), tuple(weights), tuple(diffs)
 
 
 @lru_cache(maxsize=None)
@@ -266,18 +268,12 @@ def coxeter_number(m: CartanMatrix) -> tuple[int, ...]:
     for comp in m.components:
         # Generic integer weight supported on the component; its orbit size is
         # the order of the component's Coxeter element.
-        probes = [
-            fundamental_weight(m.n, i) for i in comp
-        ]
-        order = 1
-        current = probes
-        cap = 10_000
-        while True:
+        probes = [fundamental_weight(m.n, i) for i in comp]
+        order, current = 1, [apply_word(m, c.order, w) for w in probes]
+        while current != probes:
             current = [apply_word(m, c.order, w) for w in current]
-            if all(w == p for w, p in zip(current, probes)):
-                break
             order += 1
-            if order > cap:
+            if order > 10_000:
                 raise InternalCheckError("Coxeter element order exceeds sanity cap")
         numbers.append(order)
     return tuple(numbers)
@@ -303,8 +299,7 @@ def beta_roots(m: CartanMatrix, c: CoxeterElement) -> tuple[Root, ...]:
 
 def pi_set(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, Weight], ...]:
     """All labelled weights (i, m) with 0 <= m <= h(i), in label order."""
-    data = _data(m, c)
-    return tuple((lab, data.weight_of[lab]) for lab in data.labels)
+    return tuple(_data(m, c).weight_of.items())
 
 
 def label_weight(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> Weight:
@@ -366,43 +361,48 @@ def compatibility_degree(
     return table[data.index[gamma]][data.index[delta]]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def clusters(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, ...], ...]:
     """All maximal pairwise-compatible label sets; each must have exactly n elements.
 
-    Bron-Kerbosch with pivoting on the compatibility graph, vertex sets as
-    bitmasks over the label order.
+    Bron-Kerbosch on the compatibility graph, vertex sets as bitmasks over
+    the label order, with the Tomita pivot: the vertex of ``cand | excl``
+    with the most neighbours in ``cand`` (the first such in label order).
     """
     data = _data(m, c)
     labels, table = data.labels, data.forward_compat
-    nbrs = [0] * len(labels)
-    for a, b in itertools.combinations(range(len(labels)), 2):
-        if table[a][b] == 0 and table[b][a] == 0:
-            nbrs[a] |= 1 << b
-            nbrs[b] |= 1 << a
+    # nbrs[a]: the labels b != a with both entries of (a, b) zero, as a bitmask
+    nbrs = [
+        sum(1 << b for b, x in enumerate(row) if x == 0 == table[b][a] and b != a)
+        for a, row in enumerate(table)
+    ]
     result = []
 
-    def expand(clique: int, cand: int, excl: int) -> None:
+    def expand(clique: tuple[int, ...], cand: int, excl: int) -> None:
         if not cand | excl:
-            if clique.bit_count() != m.n:
+            if len(clique) != m.n:
                 raise InternalCheckError(
-                    f"maximal compatible set of size {clique.bit_count()} != rank {m.n}"
+                    f"maximal compatible set of size {len(clique)} != rank {m.n}"
                 )
-            result.append(tuple(_bits(clique)))
+            result.append(tuple(sorted(clique)))
             return
-        pivot = max(_bits(cand | excl), key=lambda u: (cand & nbrs[u]).bit_count())
-        for v in _bits(cand & ~nbrs[pivot]):
-            expand(clique | 1 << v, cand & nbrs[v], excl & nbrs[v])
-            cand &= ~(1 << v)
-            excl |= 1 << v
+        best, rest = -1, cand | excl
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            k = (cand & nbrs[u]).bit_count()
+            if k > best:
+                pivot, best = u, k
+            rest ^= low
+        todo = cand & ~nbrs[pivot]
+        while todo:
+            low = todo & -todo
+            v = low.bit_length() - 1
+            expand(clique + (v,), cand & nbrs[v], excl & nbrs[v])
+            cand ^= low
+            excl |= low
+            todo ^= low
 
-    expand(0, (1 << len(labels)) - 1, 0)
+    expand((), (1 << len(labels)) - 1, 0)
     # labels is in sorted order, so sorted index tuples map to sorted label tuples.
     return tuple(tuple(labels[v] for v in clique) for clique in sorted(result))
 
@@ -660,7 +660,7 @@ def primitive_relations(m: CartanMatrix, c: CoxeterElement) -> tuple[PrimitiveRe
     data = _data(m, c)
     n = m.n
     out = []
-    for delta in data.labels:
+    for delta, diff in zip(data.labels, data._diffs):
         k, q = delta.i, delta.m
         mono_vars = []
         for i in range(n):
@@ -674,7 +674,7 @@ def primitive_relations(m: CartanMatrix, c: CoxeterElement) -> tuple[PrimitiveRe
                 left=(data.rotate(delta, backward=True), delta),
                 monomial_vars=tuple(sorted(mono_vars)),
                 monomial_coef=tuple(int(q == 0 and j == k) for j in range(n)),
-                constant_coef=data.denominator[delta].d if q else (0,) * n,
+                constant_coef=diff if q else (0,) * n,
             )
         )
     return tuple(out)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from coxclusters import (
     CoxeterElement,
+    InternalCheckError,
     PiLabel,
     all_coxeter_elements,
     bipartite_element,
@@ -171,13 +172,17 @@ def test_table_suites_match_per_pair_suites(spec):
 # -- corrupted tables ---------------------------------------------------------------
 
 
-def _serve_corrupted(monkeypatch, m, c, pick):
+def _serve_corrupted(monkeypatch, m, c, pick, value=None):
     """Serve fresh data for (m, c) whose forward entry ``pick(data, rows)``
-    is raised by 1, in place of the cached data."""
+    is raised by 1, or whose two entries of that pair are both set to
+    ``value``, in place of the cached data."""
     data = coxeter._CoxeterData(m, c)
     rows = [list(row) for row in data.forward_compat]
     a, b = pick(data, rows)
-    rows[a][b] += 1
+    if value is None:
+        rows[a][b] += 1
+    else:
+        rows[a][b] = rows[b][a] = value
     data.forward_compat = tuple(map(tuple, rows))
     real = coxeter._data
     monkeypatch.setattr(
@@ -220,6 +225,27 @@ def test_corrupted_exceptional_value_fails_linear_identity(spec, sign, monkeypat
     _serve_corrupted(monkeypatch, m, c, lambda data, rows: (data.index[gamma], data.index[delta]))
     verdict = (checks.compat_linear_identity(m, c)[0].passed, pair_linear_identity(m, c))
     assert verdict == (False, False)
+
+
+@pytest.mark.parametrize("spec", ["B3", "A4", "G2"])
+def test_compatible_flip_pair_fails_cluster_size(spec, monkeypatch):
+    """Make a cluster member b compatible with its flip partner b': then the
+    cluster with b' added is a maximal compatible set of size n + 1."""
+    m = cartan_from_text(spec)
+    c = bipartite_element(m)
+    found = coxeter.clusters(m, c)
+    cluster = found[0]
+    b, rest = cluster[0], set(cluster[1:])
+    (partner,) = {x for cl in found if rest < set(cl) for x in cl} - set(cluster)
+    _serve_corrupted(
+        monkeypatch,
+        m,
+        c,
+        lambda data, rows: (data.index[b], data.index[partner]),
+        value=0,
+    )
+    with pytest.raises(InternalCheckError, match=f"size {m.n + 1} != rank {m.n}"):
+        coxeter.clusters(m, c)
 
 
 @pytest.mark.parametrize("spec", ["B3", "D4"])

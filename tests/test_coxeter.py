@@ -18,6 +18,7 @@ from coxclusters import (
     cartan_from_text,
     clusters,
     compatibility_degree,
+    compatibility_table,
     coxeter_element,
     coxeter_number,
     cyclical_move,
@@ -213,6 +214,36 @@ def test_cluster_count_is_catalan_number(letter, rank):
             bipartition_of(m, linear)
     for c in (bipartite_element(m), linear):
         assert len(clusters(m, c)) == catalan
+
+
+def reference_clusters(m, c):
+    """Every n-subset of labels that is pairwise compatible by the rows of
+    ``compatibility_table`` and that no other label extends, by brute force."""
+    labels, rows = compatibility_table(m, c)
+    span = range(len(labels))
+    compatible = [[rows[a][b] == 0 == rows[b][a] for b in span] for a in span]
+    out = []
+    for subset in itertools.combinations(span, m.n):
+        if not all(compatible[a][b] for a, b in itertools.combinations(subset, 2)):
+            continue
+        if any(x not in subset and all(compatible[x][a] for a in subset) for x in span):
+            continue
+        out.append(tuple(labels[a] for a in subset))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec", ["A3", "B3", "C3", "G2", "A2xA1", "A4", "B4", "C4", "D4", "F4", "A5", "D5"]
+)
+def test_clusters_match_brute_force(spec):
+    """Every orientation up to rank 4; the bipartite and linear elements of rank 5."""
+    m = cartan_from_text(spec)
+    if m.n < 5:
+        elems = all_coxeter_elements(m)
+    else:
+        elems = (bipartite_element(m), coxeter_element(m, range(m.n)))
+    for c in elems:
+        assert list(clusters(m, c)) == reference_clusters(m, c), c.order
 
 
 def test_cyclical_move_rotation(a3):
@@ -509,3 +540,53 @@ def test_rotation_chains_match_reference(spec):
         data = coxeter._data(m, c)
         got = (data.h, data.star, list(data.weight_of.items()), list(data.denominator.items()))
         assert got == reference_chains(m, c), c.order
+
+
+@pytest.fixture
+def fresh_chains():
+    coxeter._data.cache_clear()
+    yield
+    coxeter._data.cache_clear()
+
+
+def _negative_entry(real):
+    def reflect(m, word, g):
+        diff = real(m, word, g)
+        diff[0] = -1
+        return diff
+
+    return reflect
+
+
+def _stalled(real):
+    def reflect(m, word, g):
+        return [1] * m.n  # a positive difference, but the weight never moves
+
+    return reflect
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_negative_entry, "not strictly decreasing"), (_stalled, "exceeded order bound")],
+)
+def test_h_vector_keeps_chain_checks(corrupt, message, monkeypatch, fresh_chains):
+    """``h_vector`` walks the chains itself, so a corrupted reflection step
+    must raise there and fail the chain-positivity suite."""
+    m = cartan_from_text("B3")
+    c = bipartite_element(m)
+    monkeypatch.setattr(coxeter, "_reflect_word", corrupt(coxeter._reflect_word))
+    with pytest.raises(InternalCheckError, match=message):
+        h_vector(m, c)
+    results = checks.chain_and_h_checks(m, c)
+    assert [(r.suite, r.passed) for r in results] == [("coxeter/chain-positivity", False)]
+    assert message in results[0].detail
+
+
+def test_h_vector_builds_no_label_objects(fresh_chains):
+    """The move-update suite reads only h and star: no orientation of E7 may
+    build its labels, weights or denominators."""
+    m = cartan_from_text("E7")
+    assert all(r.passed for r in checks.move_update_rule(m))
+    for c in all_coxeter_elements(m):
+        built = vars(coxeter._data(m, c))
+        assert not {"labels", "weight_of", "denominator"} & built.keys(), c.order
