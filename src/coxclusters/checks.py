@@ -29,6 +29,7 @@ from .coxeter import (
     CoxeterElement,
     PiLabel,
     PrimitiveRelation,
+    _data,
     all_roots,
     b_matrix,
     beta_roots,
@@ -85,8 +86,8 @@ def cartan_invariants(m: CartanMatrix, name: str = "") -> list[CheckResult]:
 
 
 def chain_and_h_checks(m: CartanMatrix, c: CoxeterElement) -> list[CheckResult]:
-    """Strictly decreasing rotation chains, the h-difference rule on edges, and
-    the pairing of h values with the component Coxeter number."""
+    """Strictly decreasing rotation chains, the h-difference rule on edges, h + h*
+    against the Coxeter number, and |Pi(c)| against the n(h + 2)/2 almost positive roots."""
     name = _fmt_c(c)
     out = []
     try:
@@ -114,8 +115,10 @@ def chain_and_h_checks(m: CartanMatrix, c: CoxeterElement) -> list[CheckResult]:
         m.d[i] * B[i][j] == -m.d[j] * B[j][i] for i in range(m.n) for j in range(m.n)
     )
     out.append(_result("coxeter/B-skew-symmetrizable", name, skew_ok))
-    size_ok = len(pi_set(m, c)) == sum(x + 1 for x in h)
-    out.append(_result("coxeter/pi-size", name, size_ok))
+    size = len(set(_data(m, c)._weights))
+    expect = sum(len(comp) * (hc + 2) // 2 for comp, hc in zip(m.components, coxeter_number(m)))
+    detail = f"{size} distinct weights, {expect} expected"
+    out.append(_result("coxeter/pi-size", name, size == expect, detail))
     return out
 
 

@@ -284,8 +284,8 @@ def cmd_typea(args) -> int:
                 "ok": quad_checks.ok,
                 "polygon_exchange": {
                     "pair": [[i, k + 2], [j, l + 2]],
-                    "p_plus": [[d.a, d.b] for d in plus],
-                    "p_minus": [[d.a, d.b] for d in minus],
+                    "p_plus": [list(d) for d in plus],
+                    "p_minus": [list(d) for d in minus],
                 },
             }
         )

@@ -26,7 +26,9 @@ factors' boxes, because the extreme faces of a product over ZZ cannot
 cancel, so a product is range-checked once, on its box, instead of term by
 term.  A sum without cancellation takes the fieldwise union of the boxes;
 any other box is computed from the terms when first needed.  Exact division
-bounds its quotient by [lo_p - lo_q, hi_p - hi_q].
+bounds its quotient by [lo_p - lo_q, hi_p - hi_q].  A product's accumulator
+is its term dict, rebuilt only to drop a cancelled coefficient; a sum copies
+the operand with more terms and merges the other into the copy.
 
 Exact division eliminates the remainder's leading term, and it finds each
 next leading term by merging the once-sorted dividend keys with a heap of
@@ -296,14 +298,16 @@ class LaurentPoly:
     # -- arithmetic ---------------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Copies the operand with more terms (``self`` on a tie), merges the other."""
         if not other._t:
             return self
         if not self._t:
             return other
-        out = dict(self._t)
+        big, small = (self, other) if len(self._t) >= len(other._t) else (other, self)
+        out = dict(big._t)
         get = out.get
         cancelled = False
-        for k, coef in other._t.items():
+        for k, coef in small._t.items():
             c = get(k, 0) + coef
             if c:
                 out[k] = c
@@ -322,6 +326,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The accumulator is the term dict, rebuilt only if a coefficient cancelled."""
         a, b = (self, other) if len(self._t) <= len(other._t) else (other, self)
         if not a._t:
             return LaurentPoly(self.ring, {})
@@ -347,7 +352,9 @@ class LaurentPoly:
             for kb, cb in items:
                 k = ka + kb
                 acc[k] = get(k, 0) + ca * cb
-        return LaurentPoly(self.ring, {k: c for k, c in acc.items() if c}, lo, hi)
+        if 0 in acc.values():
+            acc = {k: c for k, c in acc.items() if c}
+        return LaurentPoly(self.ring, acc, lo, hi)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         """Power by repeated squaring.  The product starts from the first

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .coxeter import PiLabel
 from .poly import LaurentPoly, PolyRing
@@ -223,9 +224,9 @@ def f_poly_closed_form(n: int, label: PiLabel) -> LaurentPoly:
 # -- polygon picture ------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class Diagonal:
-    """Vertex pair of the convex (n+3)-gon; boundary sides are unit variables."""
+class Diagonal(NamedTuple):
+    """Vertex pair a < b of the convex (n+3)-gon; boundary sides are unit
+    variables.  A tuple, so it equals and orders as its plain pair (a, b)."""
 
     a: int
     b: int
@@ -268,15 +269,12 @@ def _spanning_duals(n: int, arc1: tuple[int, int], arc2: tuple[int, int]):
     two boundary arcs; a dual diagonal is contained in it exactly when it
     stretches across, one endpoint on the midpoint of a side of each arc.
     So the diagonals are the pairs of one vertex from each arc's half-open
-    vertex range, less the boundary sides.  The arcs are disjoint, so no
-    pair occurs twice.
+    vertex range.  The arcs are disjoint, so no pair occurs twice, and each
+    gap between them holds a chord endpoint, so no pair is a boundary side.
     """
-    pairs = (
-        Diagonal(min(a, b), max(a, b))
-        for a in _arc_vertices(n, *arc1)
-        for b in _arc_vertices(n, *arc2)
-    )
-    return tuple(sorted(d for d in pairs if not d.is_boundary(n)))
+    ends = _arc_vertices(n, *arc2)
+    return tuple(sorted([Diagonal(p, q) if p < q else Diagonal(q, p)
+                         for p in _arc_vertices(n, *arc1) for q in ends]))
 
 
 def universal_coeff_typea(
@@ -291,7 +289,7 @@ def universal_coeff_typea(
     on the arc from j to k and the other on the arc from l around to i.  The
     second multiset is the same rule for the sides (j,k) and (l,i).  In
     vertices: the pairs {a, b} with j < a <= k and b cyclically after l up
-    to i, resp. with k < a <= l and i < b <= j, boundary sides left out.
+    to i, resp. with k < a <= l and i < b <= j; no pair is a boundary side.
     """
     i, j, k, l = quad
     if not (1 <= i < j < k < l <= n + 3):

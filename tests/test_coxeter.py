@@ -582,6 +582,35 @@ def test_h_vector_keeps_chain_checks(corrupt, message, monkeypatch, fresh_chains
     assert message in results[0].detail
 
 
+def _shared_weight(chains):
+    h, star, weights, diffs = chains
+    return h, star, weights[:-1] + weights[:1], diffs  # the last label repeats the first weight
+
+
+def _dropped_label(chains):
+    h, star, weights, diffs = chains
+    return h[:-1] + (h[-1] - 1,), star, weights[:-1], diffs[:-1]  # the last chain loses its end
+
+
+@pytest.mark.parametrize("corrupt", [_shared_weight, _dropped_label])
+def test_pi_size_counts_distinct_weights(corrupt, monkeypatch, fresh_chains):
+    """``coxeter/pi-size`` counts distinct weights against n(h + 2)/2 per
+    component, so chain data whose labels still follow h must fail it when
+    two labels share a weight or one label is missing."""
+    m = cartan_from_text("B3")
+    c = bipartite_element(m)
+
+    def pi_size():
+        (res,) = [r for r in checks.chain_and_h_checks(m, c) if r.suite == "coxeter/pi-size"]
+        return res
+
+    assert pi_size().passed, pi_size().detail
+    real = coxeter._CoxeterData._iterate_chains
+    monkeypatch.setattr(coxeter._CoxeterData, "_iterate_chains", lambda self: corrupt(real(self)))
+    coxeter._data.cache_clear()
+    assert not pi_size().passed
+
+
 def test_h_vector_builds_no_label_objects(fresh_chains):
     """The move-update suite reads only h and star: no orientation of E7 may
     build its labels, weights or denominators."""

@@ -131,6 +131,24 @@ def test_sum_and_product_match_model(a, b):
     assert (p * q).is_zero() == (not model_mul(a, b))
 
 
+def _assert_stored_terms_and_box(p):
+    assert 0 not in p.terms.values()
+    if p.terms:
+        assert [p.min_exponent(s) for s in range(RING.nvars)] == [min(col) for col in zip(*p.terms)]
+
+
+@PROPS
+@given(MODELS, MODELS, st.integers(0, 6))
+def test_sum_and_product_store_no_zero_and_exact_box(a, b, cancel):
+    """q takes the negatives of up to ``cancel`` terms of p, so sums may
+    cancel; (p + q) * (p - q) cancels its cross terms.  The operands' boxes
+    are read first, so sums without cancellation take the union of boxes."""
+    b = {**b, **{e: -c for e, c in list(a.items())[:cancel]}}
+    p, q = RING.from_terms(a), RING.from_terms(b)
+    for r in (p, q, p + q, q + p, p * q, (p + q) * (p - q)):
+        _assert_stored_terms_and_box(r)
+
+
 @PROPS
 @given(MODELS, MODELS, MODELS)
 def test_ring_axioms(a, b, c):

@@ -187,10 +187,13 @@ def _scan_universal_coeff(n, quad):
     return _scan_spanning_duals(n, (j, k), (l, i)), _scan_spanning_duals(n, (k, l), (i, j))
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 12))
 def test_strip_rule_matches_diagonal_scan(n):
     for quad in itertools.combinations(range(1, n + 4), 4):
-        assert typea.universal_coeff_typea(n, quad) == _scan_universal_coeff(n, quad), quad
+        got = typea.universal_coeff_typea(n, quad)
+        # The scan is sorted; a Diagonal also equals its plain pair, so check the type.
+        assert got == _scan_universal_coeff(n, quad), quad
+        assert all(type(d) is typea.Diagonal for side in got for d in side), quad
 
 
 def _det_replaced(n, i, j):
