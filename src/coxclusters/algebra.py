@@ -13,9 +13,8 @@ the c-vectors together.
 Exploration is a breadth-first closure with canonical-form deduplication.
 Each edge is crossed forward once, with one exact division, and its reverse
 crossing costs nothing.  Exchange numerators are handed across commuting
-squares: when b_jk = 0, mutation at j leaves column k of B~ alone and x_j
-is absent from the direction-k relation, so mu_j of a seed reuses the seed's
-direction-k numerator for the same variable.
+squares (b_jk = 0).  One map, keyed by (seed index, variable id), holds the
+crossing mark at each edge's unwalked end, or else a handed numerator.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from .poly import InexactDivision, LaurentPoly, PolyRing
 from .weyl import Root, Weight
 
 DEFAULT_CAP = 100_000
+_CROSSED = object()  # explore's mark at the unwalked end of an edge
 
 
 class CapExceeded(RuntimeError):
@@ -245,11 +245,11 @@ class ExchangeGraph:
         the edges whose column k has entries of at most one sign."""
         found = set()
         for a, b in self.edges:
-            sa, sb = self.seeds[a], self.seeds[b]
-            k, _ = _exchange(sa, sb)
+            sa = self.seeds[a]
+            k, x = _exchange(sa, self.seeds[b])
             upper = sa.columns[k][: self.n]
             if min(upper) >= 0 or max(upper) <= 0:
-                found.add(edge_relation(sa, sb))
+                found.add(_relation(sa, k, x))
         return tuple(sorted(found))
 
 
@@ -270,7 +270,11 @@ def edge_relation(a: SeedView, b: SeedView) -> Relation:
     """The exchange relation of the edge from seed ``a`` to seed ``b``, read
     off column k of ``a``, where k is the one slot of ``a`` whose variable
     is not in ``b``.  Either end gives the same relation."""
-    k, x = _exchange(a, b)
+    return _relation(a, *_exchange(a, b))
+
+
+def _relation(a: SeedView, k: int, x: int) -> Relation:
+    """The exchange relation of slot k of seed ``a`` and its new variable x."""
     n = len(a.var_ids)
     # var_ids are sorted, so each side's variables already are.
     sides = tuple(
@@ -308,19 +312,20 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     Each edge is crossed forward once, from the end walked first: its new
     variable is divided out of the exchange numerator exactly, and column k
     split into its sign parts gives that numerator and the mutated B~.  The
-    forward crossing marks the far end's slot, and the reverse crossing
-    only clears that mark.  The walk carries only ids, integers and pending
-    numerators; the graph's relations are read off its seeds on demand.
+    graph's relations are read off its seeds on demand.
 
     Numerators are handed across commuting squares.  If b_jk = 0 (j != k),
     mutation at j leaves column k of B~ unchanged (its entry j is b_jk and
     column k gains b_jk times a vector), and x_j has exponent 0 in the
     direction-k relation.  So the relation of x_k in mu_j(S) is the one of
-    seed S in direction k.  After walking S, the numerator of each forward
-    direction k is handed to each forward neighbour mu_j(S) with b_jk = 0,
-    keyed by (that neighbour's index, slot of x_k there), and the neighbour
-    divides it instead of building it again.  A numerator handed to a
-    direction that turns out to be a reverse crossing is dropped.
+    seed S in direction k.
+
+    ``pending`` maps (seed index, variable id) to ``_CROSSED`` at the
+    unwalked end of each edge crossed forward, else to the numerator handed
+    there.  Walking variable v of seed i pops (i, v): the mark skips the
+    reverse crossing, a numerator is divided instead of built again.  A
+    forward crossing sets its mark over any numerator handed there, and a
+    hand-off never replaces a mark.  Nothing may be left pending at the end.
     """
     n = seed.n
     variables: list[LaurentPoly] = []
@@ -338,18 +343,16 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     index: dict = {start: 0}
     seeds: list = [start]
     edges: list = []
-    crossed: set = set()  # (seed index, slot) of each edge's unwalked end
-    handed: dict = {}  # (seed index, slot) -> exchange numerator
+    pending: dict = {}
     # ``seeds`` grows while it is walked, which makes the walk breadth-first.
     for cur_index, (ids, columns) in enumerate(seeds):
         cluster = [variables[v] for v in ids]
         forward = []
         for k in range(n):
-            if (cur_index, k) in crossed:
-                crossed.remove((cur_index, k))
+            num = pending.pop((cur_index, ids[k]), None)
+            if num is _CROSSED:
                 continue
             parts = _sign_parts(columns[k])
-            num = handed.pop((cur_index, k), None)
             if num is None:
                 num = _exchange_numerator(seed.ring, cluster, parts)
             try:
@@ -370,20 +373,16 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
                 index[neighbor] = idx
                 seeds.append(neighbor)
             # The end walked first crosses forward, so idx > cur_index here.
-            back = (idx, neighbor[0].index(new_id))
-            crossed.add(back)
-            handed.pop(back, None)
+            pending[idx, new_id] = _CROSSED
             edges.append((cur_index, idx))
-            forward.append((k, num, idx, neighbor[0]))
-        for k, num, _, _ in forward:
-            for j, _, idx, names in forward:
+            forward.append((k, num, idx))
+        for k, num, _ in forward:
+            for j, _, idx in forward:
                 if j != k and not columns[k][j]:
-                    key = (idx, names.index(ids[k]))
-                    if key not in crossed:
-                        handed[key] = num
-    if crossed or handed:
+                    pending.setdefault((idx, ids[k]), num)
+    if pending:
         raise InternalCheckError(
-            f"{len(crossed)} reverse crossings and {len(handed)} handed numerators left pending"
+            f"{len(pending)} reverse crossings or handed numerators left pending"
         )
 
     # Canonical output ordering, independent of discovery order.
@@ -415,13 +414,13 @@ class ClusterVariableRecord:
 
 @lru_cache(maxsize=None)
 def _grading(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
-    """Degree vector per ring slot: initial variables get unit weights, each
-    generator the negated corresponding column of the exchange matrix."""
-    n = m.n
-    B = b_matrix(m, c)
-    degs = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    degs += [tuple(-B[k][j] for k in range(n)) for j in range(n)]
-    return tuple(degs)
+    """Degree vector per ring slot, read off the principal B~ = [B; I]:
+    initial variable j gets the unit vector in the lower part of column j,
+    generator j the negated upper part, column j of B."""
+    columns = _principal_columns(m, c)
+    return tuple(col[m.n:] for col in columns) + tuple(
+        tuple(-x for x in col[: m.n]) for col in columns
+    )
 
 
 @lru_cache(maxsize=None)

@@ -139,28 +139,35 @@ def validate(matrix) -> CartanMatrix:
         n, lambda v: (w for w in range(n) if w != v and a[v][w] != 0)
     )
     d = _symmetrizers(n, a, components)
-    sym = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if sym[i][j] != sym[j][i]:
-                raise InvalidCartanMatrix("symmetrization is not symmetric")
-    if not _positive_definite(sym):
+    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(n) for j in range(n)):
+        raise InvalidCartanMatrix("symmetrization is not symmetric")
+    # D A is symmetric and D a positive diagonal, so D A is positive definite
+    # exactly when every leading principal minor of A is positive.
+    if min(_bareiss([list(row) for row in a])) <= 0:
         raise InvalidCartanMatrix("symmetrization not positive definite (not finite type)")
     return CartanMatrix(n=n, a=a, d=d, components=components)
 
 
-def _positive_definite(sym) -> bool:
-    """All leading principal minors positive, by exact fraction elimination."""
-    n = len(sym)
-    mat = [[Fraction(x) for x in row] for row in sym]
-    for k in range(n):
-        if mat[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = mat[i][k] / mat[k][k]
-            for j in range(k, n):
-                mat[i][j] -= factor * mat[k][j]
-    return True
+def _bareiss(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer ``rows``
+    in place, pivoting down the diagonal without row exchanges.
+
+    After step k every entry is a minor of order k + 1, so each division by
+    the previous pivot is exact, and pivot k is the leading principal minor
+    of order k + 1.  Returns the pivots, up to the first that is not positive.
+    """
+    pivots, prev = [], 1
+    for k in range(len(rows)):
+        pivot = rows[k][k]
+        pivots.append(pivot)
+        if pivot <= 0:
+            break
+        for i in range(len(rows)):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = pivot
+    return pivots
 
 
 def _path_matrix(n: int) -> list[list[int]]:

@@ -307,23 +307,18 @@ def shares_cluster_with_initial(cluster_sets) -> set:
 
 
 @lru_cache(maxsize=1)
-def _explored(m: CartanMatrix, c: CoxeterElement, cap: int) -> ExchangeGraph:
-    """The principal exchange graph shared by the suites of one orientation.
-
-    Only the last instance is kept, as for :func:`_principal_records`:
-    ``verify`` runs the suites of one orientation back to back, and keeping
-    the graph of every orientation would hold them all until exit.
-    """
-    return explore(principal_seed(m, c), cap=cap)
-
-
-@lru_cache(maxsize=1)
-def _principal_records(
+def _explored(
     m: CartanMatrix, c: CoxeterElement, cap: int
-) -> tuple[ClusterVariableRecord, ...]:
-    """The records of the principal exchange graph, read once for all suites
-    of the last orientation."""
-    return records_for(m, c, _explored(m, c, cap))
+) -> tuple[ExchangeGraph, tuple[ClusterVariableRecord, ...]]:
+    """The principal exchange graph and its records, shared by the suites of
+    one orientation.
+
+    Only the last instance is kept: ``verify`` runs the suites of one
+    orientation back to back, and keeping the graph of every orientation
+    would hold them all until exit.
+    """
+    graph = explore(principal_seed(m, c), cap=cap)
+    return graph, records_for(m, c, graph)
 
 
 def engine_against_formulas(
@@ -334,7 +329,7 @@ def engine_against_formulas(
     primitive relations, cluster families, and the separation identity."""
     name = _fmt_c(c)
     out = []
-    graph = _explored(m, c, cap)
+    graph, records = _explored(m, c, cap)
     h, _ = h_vector(m, c)
     labelled = pi_set(m, c)
 
@@ -349,7 +344,6 @@ def engine_against_formulas(
                        f"{len(graph.variables)} vs {len(labelled)}"))
     out.append(_result("engine/count-formula-per-component", name, per_comp_ok))
 
-    records = _principal_records(m, c, cap)
     g_ok = {r.g.g for r in records} == {w.g for _, w in labelled}
     out.append(_result("engine/g-vectors-equal-weight-family", name, g_ok))
 
@@ -439,8 +433,7 @@ def universal_checks(
 
     order = [lab for lab, _ in pi_set(m, c)]
     project = itemgetter(*range(m.n), *(m.n + order.index(PiLabel(i, 0)) for i in range(m.n)))
-    pgraph = _explored(m, c, cap)
-    precs = _principal_records(m, c, cap)
+    pgraph, precs = _explored(m, c, cap)
     principal_seeds = sorted(
         relabel_seed([precs[v].label for v in s.var_ids], s.columns) for s in pgraph.seeds
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .cartan import CartanMatrix
+from .cartan import CartanMatrix, _bareiss
 
 
 class InternalCheckError(RuntimeError):
@@ -84,15 +84,11 @@ def reflect_root(m: CartanMatrix, i: int, r: Root) -> Root:
 
 
 def reflect_weight(m: CartanMatrix, i: int, w: Weight) -> Weight:
-    """Apply the i-th simple reflection to a weight.
-
-    In weight coordinates the i-th simple root is column i of the Cartan
-    matrix, and the reflection subtracts g[i] copies of it.
-    """
-    gi = w.g[i]
-    if gi == 0:
-        return w
-    return Weight(tuple(w.g[k] - gi * m.a[k][i] for k in range(m.n)))
+    """Apply the i-th simple reflection to a weight: :func:`_reflect_word`
+    with the one letter i."""
+    g = list(w.g)
+    _reflect_word(m, (i,), g)
+    return Weight(tuple(g))
 
 
 @lru_cache(maxsize=None)
@@ -140,29 +136,18 @@ def root_to_weight_coords(m: CartanMatrix, r: Root) -> Weight:
 def _cartan_adjugate(m: CartanMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(det, det * inverse) with integer entries, for divisibility tests.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [A | I]: after step
-    k every entry is a minor of order k + 1, so each division by the previous
-    pivot is exact, and the last step leaves [det * I | adj].  The leading
+    :func:`cartan._bareiss` on [A | I] leaves [det * I | adj].  The leading
     principal minors of a finite-type Cartan matrix are positive, so no row
     exchange is needed; adj * A = det * I is checked all the same.
     """
     n, a = m.n, m.a
     rows = [list(a[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        pivot = rows[k][k]
-        if pivot == 0:
-            break
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
-        prev = pivot
+    det = _bareiss(rows)[-1]
     adj = tuple(tuple(row[n:]) for row in rows)
     product = [[sum(r[k] * a[k][j] for k in range(n)) for j in range(n)] for r in adj]
-    if pivot == 0 or product != [[prev * (i == j) for j in range(n)] for i in range(n)]:
+    if det <= 0 or product != [[det * (i == j) for j in range(n)] for i in range(n)]:
         raise InternalCheckError("Bareiss elimination did not give adj * A = det * I")
-    return prev, adj
+    return det, adj
 
 
 def weight_as_root(m: CartanMatrix, w: Weight) -> Root | None:

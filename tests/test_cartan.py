@@ -61,10 +61,19 @@ def test_validate_accepts_simple():
     assert m.d == (1, 1)
 
 
-def test_validate_rejects_affine():
-    # Symmetrization [[2,-2],[-2,2]] has determinant zero.
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2, -2], [-2, 2]],  # affine A1: determinant zero
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2, a 3-cycle: determinant zero
+        [[2, -3], [-3, 2]],  # hyperbolic: second leading minor -5
+        [[2, -1], [-5, 2]],  # symmetrizable, second leading minor -1
+    ],
+    ids=["affine-A1", "affine-A2", "hyperbolic", "negative-minor"],
+)
+def test_validate_rejects_affine(matrix):
     with pytest.raises(InvalidCartanMatrix, match="positive definite"):
-        validate([[2, -2], [-2, 2]])
+        validate(matrix)
 
 
 def test_validate_rejects_asymmetric_zero_pattern():

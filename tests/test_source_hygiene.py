@@ -4,8 +4,9 @@ functions in ``src/coxclusters``, found with the standard library's ``ast``.
 An import counts as used when its bound name appears as a name anywhere in
 the module, string annotations included.  ``__future__`` imports and the
 re-exports of ``__init__.py`` are exempt.  A module-level function whose
-name starts with one underscore must be referenced somewhere in ``src/`` or
-``tests/`` outside its own body.
+name starts with one underscore, and a method of a module-level class that
+is private in the same sense or a cached property, must be referenced
+somewhere in ``src/`` or ``tests/`` outside its own body.
 """
 
 import ast
@@ -69,25 +70,44 @@ def _references(tree):
     return out
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _is_cached_property(node):
+    return any(
+        getattr(d, "id", getattr(d, "attr", "")) == "cached_property" for d in node.decorator_list
+    )
+
+
+def _guarded(tree):
+    """The module-level private functions of a module, and the private
+    methods and cached properties of its module-level classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and (
+                    _is_private(member.name) or _is_cached_property(member)
+                ):
+                    yield member
+
+
 def unreferenced_private_functions(modules, others):
-    """(module, name) of each module-level ``_name`` function of ``modules``
-    (a dict of name to tree) that no tree references outside its own body;
-    ``others`` are further trees, such as the tests, that may reference it."""
+    """(module, name) of each function of ``modules`` (a dict of name to
+    tree) named by :func:`_guarded` that no tree references outside its own
+    body; ``others`` are further trees, such as the tests, that may
+    reference it."""
     total = Counter()
     for tree in [*modules.values(), *others]:
         total += _references(tree)
-    found = []
-    for mod, tree in modules.items():
-        for node in tree.body:
-            name = getattr(node, "name", "")
-            if (
-                isinstance(node, ast.FunctionDef)
-                and name.startswith("_")
-                and not name.startswith("__")
-                and total[name] == _references(node)[name]
-            ):
-                found.append((mod, name))
-    return found
+    return [
+        (mod, node.name)
+        for mod, tree in modules.items()
+        for node in _guarded(tree)
+        if total[node.name] == _references(node)[node.name]
+    ]
 
 
 @pytest.mark.parametrize("path", [p for p in SRC if p.name != "__init__.py"], ids=lambda p: p.name)
@@ -121,4 +141,24 @@ def test_private_function_guard_is_not_vacuous():
     tests = ast.parse("import lib\nlib._tested()\n")
     assert unreferenced_private_functions({"lib.py": lib}, [tests]) == [
         ("lib.py", "_only_recursive")
+    ]
+
+
+def test_private_method_guard_is_not_vacuous():
+    lib = ast.parse(
+        "from functools import cached_property\n"
+        "class C:\n"
+        "    def __init__(self): self._used()\n"
+        "    def _used(self): pass\n"
+        "    def _only_recursive(self): return self._only_recursive()\n"
+        "    def public(self): pass\n"
+        "    @cached_property\n"
+        "    def unread(self): return 1\n"
+        "    @cached_property\n"
+        "    def tested(self): return 2\n"
+    )
+    tests = ast.parse("import lib\nlib.C().tested\n")
+    assert unreferenced_private_functions({"lib.py": lib}, [tests]) == [
+        ("lib.py", "_only_recursive"),
+        ("lib.py", "unread"),
     ]
