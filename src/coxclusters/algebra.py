@@ -10,11 +10,10 @@ auxiliary addition and divided out in the Laurent ring exactly (the remainder
 must vanish), and they drive the one matrix-mutation rule that moves B and
 the c-vectors together.
 
-Exploration is a breadth-first closure with canonical-form deduplication.
-Each edge is crossed forward once, with one exact division, and its reverse
-crossing costs nothing.  Exchange numerators are handed across commuting
-squares (b_jk = 0).  One map, keyed by (seed index, variable id), holds the
-crossing mark at each edge's unwalked end, or else a handed numerator.
+Exploration is a breadth-first closure that names each seed by its cluster,
+crosses each edge forward once with one exact division, hands exchange
+numerators across commuting squares (b_jk = 0), and sorts the seeds into
+canonical order once, after the walk.
 """
 
 from __future__ import annotations
@@ -302,17 +301,19 @@ def relabel_seed(names, columns):
 def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
     """Breadth-first closure of a seed under all mutations.
 
-    During the walk a seed is named by its slots sorted by interned variable
-    id (:func:`relabel_seed`), and the whole (ids, columns of B~) pair is the
-    deduplication key.  Afterwards the variables are renumbered in the
-    canonical polynomial order and every seed is sorted again by the new
-    ids, so the output ordering is canonical and independent of traversal
-    schedule and of the slot order of the start seed.
+    During the walk a seed is named by its cluster, the sorted tuple of its
+    variable ids, since in finite type a cluster determines its seed (Fomin
+    and Zelevinsky, Cluster algebras II, math/0208229); the graph digests
+    and ``test_public_mutate_rederives_every_edge`` guard this rule.  Slots
+    stay in the order the walk reached them.  After the walk the variables
+    are renumbered in canonical polynomial order and each seed is sorted by
+    the new ids once (:func:`relabel_seed`), so the output order depends on
+    neither the traversal schedule nor the slot order of the start seed.
 
     Each edge is crossed forward once, from the end walked first: its new
     variable is divided out of the exchange numerator exactly, and column k
-    split into its sign parts gives that numerator and the mutated B~.  The
-    graph's relations are read off its seeds on demand.
+    split into its sign parts gives that numerator and, for a new seed only,
+    the mutated B~.  The graph's relations are read off its seeds on demand.
 
     Numerators are handed across commuting squares.  If b_jk = 0 (j != k),
     mutation at j leaves column k of B~ unchanged (its entry j is b_jk and
@@ -339,9 +340,9 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
             variables.append(p)
         return vid
 
-    start = relabel_seed(tuple(intern(p) for p in seed.cluster), seed.columns)
-    index: dict = {start: 0}
-    seeds: list = [start]
+    start = tuple(intern(p) for p in seed.cluster)
+    index: dict = {tuple(sorted(start)): 0}
+    seeds: list = [(start, seed.columns)]
     edges: list = []
     pending: dict = {}
     # ``seeds`` grows while it is walked, which makes the walk breadth-first.
@@ -362,16 +363,15 @@ def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:
                     f"exchange relation not Laurent at seed {cur_index}, direction {k}"
                 ) from exc
             new_id = intern(new_poly)
-            new_ids = list(ids)
-            new_ids[k] = new_id
-            neighbor = relabel_seed(new_ids, _mutate(columns, k, parts))
-            idx = index.get(neighbor)
+            new_ids = ids[:k] + (new_id,) + ids[k + 1:]
+            key = tuple(sorted(new_ids))
+            idx = index.get(key)
             if idx is None:
                 idx = len(seeds)
                 if idx >= cap:
                     raise CapExceeded(f"seed cap {cap} exceeded")
-                index[neighbor] = idx
-                seeds.append(neighbor)
+                index[key] = idx
+                seeds.append((new_ids, _mutate(columns, k, parts)))
             # The end walked first crosses forward, so idx > cur_index here.
             pending[idx, new_id] = _CROSSED
             edges.append((cur_index, idx))

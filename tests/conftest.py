@@ -9,6 +9,7 @@ from coxclusters import (
     principal_seed,
     universal_seed,
 )
+from coxclusters.algebra import Seed, extended_columns
 
 
 def indecomposable_types(max_rank):
@@ -89,6 +90,20 @@ def instance_seed(name):
     """The start seed named by an entry of :func:`exchange_graph_instances`."""
     make = {"principal": principal_seed, "universal": universal_seed}[name.split()[0]]
     return make(*instance_element(name))
+
+
+def permuted_seed(seed, perm):
+    """``seed`` with slot t holding what slot ``perm[t]`` held: the cluster,
+    the c-vectors, and the rows and columns of B, moved explicitly."""
+    return Seed(
+        ring=seed.ring,
+        n=seed.n,
+        cluster=tuple(seed.cluster[t] for t in perm),
+        columns=extended_columns(
+            tuple(tuple(seed.B[a][b] for b in perm) for a in perm),
+            tuple(seed.coeffs[t] for t in perm),
+        ),
+    )
 
 
 def step_instances():

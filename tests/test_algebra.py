@@ -45,6 +45,7 @@ from conftest import (
     indecomposable_types,
     instance_element,
     instance_seed,
+    permuted_seed,
     step_instances,
     weyl_degrees,
 )
@@ -218,16 +219,7 @@ def test_exploration_ignores_slot_order(name):
     seed = instance_seed(name)
     perm = random.Random(0).sample(range(seed.n), seed.n)
     assert perm != sorted(perm)
-    permuted = Seed(
-        ring=seed.ring,
-        n=seed.n,
-        cluster=tuple(seed.cluster[t] for t in perm),
-        columns=extended_columns(
-            tuple(tuple(seed.B[a][b] for b in perm) for a in perm),
-            tuple(seed.coeffs[t] for t in perm),
-        ),
-    )
-    assert explore(permuted) == explore(seed)
+    assert explore(permuted_seed(seed, perm)) == explore(seed)
 
 
 def test_extract_record_example(a2):

@@ -1,21 +1,44 @@
-"""The exchange step against slow, test-only reference loops.
+"""The exchange step and the walk against slow, test-only reference loops.
 
 ``reference_exact_div`` finds every leading term by a ``max`` over the whole
 remainder, and ``reference_exchange_numerator`` builds every power as
 repeated products that start from the ring's one.  The engine's exact
 division and numerators must give the same results, or the same
 ``InexactDivision``, on random inputs and on every step an exploration
-takes.
+takes.  ``reference_explore`` walks the exchange graph with the public
+``mutate`` and keys each seed by its whole canonical form, B~ included;
+``explore`` must return the same graph.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxclusters import InexactDivision, PolyRing, algebra, explore
-from coxclusters.algebra import _exchange, _exchange_numerator, _sign_parts
+from coxclusters import (
+    InexactDivision,
+    PolyRing,
+    algebra,
+    b_matrix,
+    cartan_from_text,
+    coxeter_element,
+    explore,
+    mutate,
+    principal_seed,
+    universal_seed,
+)
+from coxclusters.algebra import (
+    ExchangeGraph,
+    Seed,
+    SeedView,
+    _exchange,
+    _exchange_numerator,
+    _mutate,
+    _sign_parts,
+    extended_columns,
+    relabel_seed,
+)
 from coxclusters.poly import LaurentPoly
-from conftest import instance_seed, step_instances
+from conftest import indecomposable_types, instance_seed, permuted_seed, step_instances
 
 
 def reference_exact_div(p, divisor):
@@ -199,3 +222,96 @@ def test_numerators_are_shared_across_commuting_squares(monkeypatch):
     monkeypatch.setattr(algebra, "_exchange_numerator", counting)
     graph = explore(instance_seed(step_instances()[-1]))
     assert len(graph.relations) <= len(built) < len(graph.edges)
+
+
+def test_b_tilde_is_mutated_once_per_new_seed(monkeypatch):
+    """Bipartite E6 mutates B~ only on the crossings that reach a new seed."""
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _mutate(*args)
+
+    monkeypatch.setattr(algebra, "_mutate", counting)
+    graph = explore(instance_seed(step_instances()[-1]))
+    assert len(calls) == len(graph.seeds) - 1
+
+
+# -- the whole walk ---------------------------------------------------------------------
+
+
+def reference_explore(seed):
+    """Breadth-first closure of ``seed`` by the public ``mutate`` in every
+    direction of every seed, with no hand-off and no crossing marks.  A seed
+    is keyed by its whole canonical form: the polynomial keys of its cluster,
+    sorted, and the columns of B~ permuted along (``relabel_seed``)."""
+
+    def whole_key(s):
+        return relabel_seed([p.key() for p in s.cluster], s.columns)
+
+    polys = {p.key(): p for p in seed.cluster}
+    index = {whole_key(seed): 0}
+    queue = [seed]
+    edges = set()
+    for i, s in enumerate(queue):
+        for k in range(s.n):
+            t = mutate(s, k)
+            polys[t.cluster[k].key()] = t.cluster[k]
+            j = index.setdefault(whole_key(t), len(queue))
+            if j == len(queue):
+                queue.append(t)
+            edges.add((min(i, j), max(i, j)))
+    var_id = {key: v for v, key in enumerate(sorted(polys))}
+    views = [SeedView(tuple(var_id[key] for key in keys), cols) for keys, cols in index]
+    order = sorted(range(len(views)), key=lambda i: views[i].var_ids)
+    pos = {old: new for new, old in enumerate(order)}
+    return ExchangeGraph(
+        ring=seed.ring,
+        n=seed.n,
+        variables=tuple(polys[key] for key in sorted(polys)),
+        seeds=tuple(views[i] for i in order),
+        edges=tuple(sorted(tuple(sorted((pos[a], pos[b]))) for a, b in edges)),
+    )
+
+
+def coefficient_free_seed(m, c):
+    """Initial seed with B~ = B: no semifield generators."""
+    ring = PolyRing(tuple(f"x{i + 1}" for i in range(m.n)))
+    return Seed(
+        ring=ring,
+        n=m.n,
+        cluster=tuple(ring.gen(i) for i in range(m.n)),
+        columns=extended_columns(b_matrix(m, c), [()] * m.n),
+    )
+
+
+INDECOMPOSABLE = {rank: [f"{x}{r}" for x, r in indecomposable_types(rank)] for rank in range(1, 5)}
+
+
+@st.composite
+def finite_types(draw):
+    """An indecomposable type of rank at most 4, or a direct sum of two or
+    three components of total rank at most 5; as given or transposed."""
+    if draw(st.booleans()):
+        spec = draw(st.sampled_from(INDECOMPOSABLE[4]))
+    else:
+        parts, budget = [], 5
+        for left in range(draw(st.integers(2, 3)), 0, -1):
+            part = draw(st.sampled_from(INDECOMPOSABLE[min(budget - left + 1, 4)]))
+            budget -= cartan_from_text(part).n
+            parts.append(part)
+        spec = "x".join(parts)
+    m = cartan_from_text(spec)
+    return m.transpose() if draw(st.booleans()) else m
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.data())
+def test_explore_matches_reference(data):
+    """A random type, Coxeter word, coefficient system and slot order of the
+    start seed: ``explore`` and the reference give equal graphs."""
+    m = data.draw(finite_types())
+    c = coxeter_element(m, data.draw(st.permutations(range(m.n))))
+    make = data.draw(st.sampled_from([principal_seed, universal_seed, coefficient_free_seed]))
+    seed = permuted_seed(make(m, c), data.draw(st.permutations(range(m.n))))
+    assert explore(seed) == reference_explore(seed)
