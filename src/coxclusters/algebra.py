@@ -90,8 +90,8 @@ class Seed(_ExtendedMatrix):
     def gens(self) -> tuple[str, ...]:
         return self.ring.names[self.n:]
 
-    def coeff_monomial(self, exps: tuple[int, ...], coef: int = 1) -> LaurentPoly:
-        return self.ring.monomial((0,) * self.n + exps, coef)
+    def coeff_monomial(self, exps: tuple[int, ...]) -> LaurentPoly:
+        return self.ring.monomial((0,) * self.n + exps)
 
 
 def _sign_parts(v: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -501,16 +501,12 @@ def label_variables(
 # -- universal coefficients ---------------------------------------------------------
 
 
-def universal_gen_names(m: CartanMatrix, c: CoxeterElement) -> tuple[str, ...]:
-    return tuple(f"p{lab.i + 1}_{lab.m}" for lab, _ in pi_set(m, c))
-
-
 def universal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
     """Initial seed over the tropical semifield with one generator per labelled weight."""
     n = m.n
     labels, rows = compatibility_table(m, c)
     index = {lab: pos for pos, lab in enumerate(labels)}
-    gens = universal_gen_names(m, c)
+    gens = tuple(f"p{lab.i + 1}_{lab.m}" for lab, _ in pi_set(m, c))
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + gens)
     coeffs = []
     for j in range(n):
@@ -576,17 +572,13 @@ class MoveReport:
         )
 
 
-def verify_move_isomorphism(
-    m: CartanMatrix, c: CoxeterElement, source: int | None = None
-) -> MoveReport:
+def verify_move_isomorphism(m: CartanMatrix, c: CoxeterElement, source: int) -> MoveReport:
     """Mutating the principal seed at a source must produce the rotated element's data.
 
     Checks the exchange matrix, the coefficient tuple (source generator
     inverted, neighbors multiplied by its positive powers), the closed form
     of the new variable, and its label.
     """
-    if source is None:
-        source = c.order[0]
     s0 = principal_seed(m, c)
     s1 = mutate(s0, source)
     ctilde = cyclical_move(m, c, source)

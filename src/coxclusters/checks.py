@@ -70,15 +70,15 @@ def _fmt_c(c: CoxeterElement) -> str:
 # -- cartan ----------------------------------------------------------------------
 
 
-def cartan_invariants(m: CartanMatrix, name: str = "") -> list[CheckResult]:
+def cartan_invariants(m: CartanMatrix) -> list[CheckResult]:
     out = []
     sym_ok = all(
         m.d[i] * m.a[i][j] == m.d[j] * m.a[j][i] for i in range(m.n) for j in range(m.n)
     )
-    out.append(_result("cartan/symmetrizer", name, sym_ok))
+    out.append(_result("cartan/symmetrizer", "", sym_ok))
     eps = bipartition(m)
     color_ok = all(eps[i] * eps[j] == -1 for i, j in m.edges())
-    out.append(_result("cartan/bipartition-2-coloring", name, color_ok))
+    out.append(_result("cartan/bipartition-2-coloring", "", color_ok))
     return out
 
 
@@ -280,7 +280,7 @@ def bipartite_compat_oracle(m: CartanMatrix) -> list[CheckResult]:
     transported through the almost-positive-roots bijection."""
     t = bipartite_element(m)
     labels, rows = compatibility_table(m, t)
-    roots, root_rows = root_compat_table(m, bipartition(m))
+    roots, root_rows = root_compat_table(m)
     root_index = {r.d: k for k, r in enumerate(roots)}
     image = [root_index[psi_bipartite(m, t, lab).d] for lab in labels]
     bij_ok = len(set(image)) == len(labels)

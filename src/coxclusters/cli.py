@@ -306,13 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_coxeter=True):
+    def common(p):
         p.add_argument("--type", required=True,
                        help="type label like A3, D4, A2xA1, or else a matrix file path "
                             "(a label always wins: write ./A3 for a file named A3)")
-        if with_coxeter:
-            p.add_argument("--coxeter", default="bipartite",
-                           help="comma-separated 1-based word, 'bipartite', or 'all'")
+        p.add_argument("--coxeter", default="bipartite",
+                       help="comma-separated 1-based word, 'bipartite', or 'all'")
         p.add_argument("--cap", type=int, default=None,
                        help=f"seed cap (default {DEFAULT_CAP}, env {CAP_ENV_VAR})")
         p.add_argument("--output", default=None, help="write to a file instead of stdout")
@@ -347,10 +346,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidCartanMatrix, InvalidCoxeterWord) as exc:
+    except (UsageError, InvalidCartanMatrix, InvalidCoxeterWord) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceeded as exc:

@@ -15,7 +15,7 @@ built from those tuples on first read, and everything is cached per element.
 Both compatibility pairings are fixed integer tables, built on first use and
 then read whole or by index: the label pairing once per (Cartan matrix,
 Coxeter element) and reduction direction (:func:`compatibility_table`), the
-pairing on almost positive roots once per (Cartan matrix, bipartition)
+pairing on almost positive roots once per Cartan matrix
 (:func:`root_compat_table`).
 """
 
@@ -544,10 +544,11 @@ def _negative_simple_index(r: Root) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _half_reflection_tables(m: CartanMatrix, eps: tuple[int, ...]):
+def _half_reflection_tables(m: CartanMatrix):
     """The almost positive roots (positive roots, then -alpha_i by i), their
     index by coordinates, and the pairing table over them.
 
+    The two half reflections are those of the signs of :func:`bipartition`.
     Each half reflection is an index permutation of the roots.  Row a walks
     the orbit of root a under the two involutions in turn, starting with the
     +1 one, and carries the whole index vector along: after k steps every root
@@ -558,6 +559,7 @@ def _half_reflection_tables(m: CartanMatrix, eps: tuple[int, ...]):
     roots = tuple(r for r in all_roots(m) if r.is_positive())
     roots += tuple(-simple_root(m.n, i) for i in range(m.n))
     index = {r.d: k for k, r in enumerate(roots)}
+    eps = bipartition(m)
     try:
         flips = {
             sign: tuple(index[_half_reflection(m, eps, sign, r).d] for r in roots)
@@ -583,38 +585,30 @@ def _half_reflection_tables(m: CartanMatrix, eps: tuple[int, ...]):
     return roots, index, tuple(rows)
 
 
-def root_compat_table(
-    m: CartanMatrix, eps: tuple[int, ...] | None = None
-) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:
+def root_compat_table(m: CartanMatrix) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:
     """The whole compatibility pairing on almost positive roots: (roots, rows).
 
     ``roots`` lists the positive roots in coordinate order, then -alpha_i by
     i; ``rows[a][b]`` pairs roots[a] with roots[b] (see :func:`root_compat`).
-    Built once per (m, eps) from root data alone, sharing no code with the
-    label tables of :func:`compatibility_table`, so the two can check each
-    other.
+    Built once per Cartan matrix from root data alone, sharing no code with
+    the label tables of :func:`compatibility_table`, so the two can check
+    each other.
     """
-    if eps is None:
-        eps = bipartition(m)
-    roots, _, rows = _half_reflection_tables(m, tuple(eps))
+    roots, _, rows = _half_reflection_tables(m)
     return roots, rows
 
 
-def root_compat(
-    m: CartanMatrix, alpha: Root, beta: Root, eps: tuple[int, ...] | None = None
-) -> int:
+def root_compat(m: CartanMatrix, alpha: Root, beta: Root) -> int:
     """Compatibility pairing on almost positive roots: one entry of
     :func:`root_compat_table`.
 
     Characterized by: pairing of a negative simple -alpha_i against beta is
     the positive part of beta's alpha_i-coefficient, and invariance under the
     two sign involutions (the products of the simple reflections of one sign
-    of ``eps``, the bipartition by default).  A loop over root pairs reads
-    the table's rows instead.
+    of the bipartition).  A loop over root pairs reads the table's rows
+    instead.
     """
-    if eps is None:
-        eps = bipartition(m)
-    _, index, rows = _half_reflection_tables(m, tuple(eps))
+    _, index, rows = _half_reflection_tables(m)
     return rows[index[alpha.d]][index[beta.d]]
 
 

@@ -29,31 +29,25 @@ def matrix_ring(n: int) -> PolyRing:
     )
 
 
-@dataclass(frozen=True)
-class SymTriMatrix:
-    """Symbolic (n+1)x(n+1) tridiagonal matrix: diagonal v_i, superdiagonal y_i, subdiagonal 1."""
-
-    n: int
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-
-    @staticmethod
-    def build(n: int) -> "SymTriMatrix":
-        ring = matrix_ring(n)
-        size = n + 1
-        rows = []
-        for r in range(size):
-            row = []
-            for c in range(size):
-                if r == c:
-                    row.append(ring.gen(r))
-                elif c == r + 1:
-                    row.append(ring.gen(size + r))
-                elif r == c + 1:
-                    row.append(ring.one())
-                else:
-                    row.append(ring.zero())
-            rows.append(tuple(row))
-        return SymTriMatrix(n=n, entries=tuple(rows))
+def tridiagonal(n: int) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """Rows of the symbolic (n+1)x(n+1) tridiagonal matrix over
+    :func:`matrix_ring`: diagonal v_i, superdiagonal y_i, subdiagonal 1."""
+    ring = matrix_ring(n)
+    size = n + 1
+    rows = []
+    for r in range(size):
+        row = []
+        for c in range(size):
+            if r == c:
+                row.append(ring.gen(r))
+            elif c == r + 1:
+                row.append(ring.gen(size + r))
+            elif r == c + 1:
+                row.append(ring.one())
+            else:
+                row.append(ring.zero())
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def determinant(rows) -> LaurentPoly:
@@ -87,9 +81,9 @@ def determinant(rows) -> LaurentPoly:
     return minor(0, tuple(range(ncols)))
 
 
-def generic_minor(mat: SymTriMatrix, rows, cols) -> LaurentPoly:
-    """Minor with the given 1-based row and column sets."""
-    picked = [tuple(mat.entries[r - 1][c - 1] for c in cols) for r in rows]
+def generic_minor(mat, rows, cols) -> LaurentPoly:
+    """Minor of the matrix with rows ``mat`` on the given 1-based row and column sets."""
+    picked = [tuple(mat[r - 1][c - 1] for c in cols) for r in rows]
     return determinant(picked)
 
 
@@ -149,46 +143,24 @@ def verify_exchange_relations(n: int) -> tuple[RelationCheck, ...]:
 # -- F-polynomials from the matrix product ------------------------------------------
 
 
-def _elementary(ring: PolyRing, size: int, r: int, c: int, value: LaurentPoly):
-    rows = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            if a == b:
-                row.append(ring.one())
-            elif (a, b) == (r, c):
-                row.append(value)
-            else:
-                row.append(ring.zero())
-        rows.append(row)
-    return rows
-
-
-def _mat_mul(ring: PolyRing, A, B):
-    size = len(A)
-    out = []
-    for a in range(size):
-        row = []
-        for b in range(size):
-            total = ring.zero()
-            for t in range(size):
-                if not A[a][t].is_zero() and not B[t][b].is_zero():
-                    total = total + A[a][t] * B[t][b]
-            row.append(total)
-        out.append(row)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _fmatrix(n: int):
-    """Product of the lower unit elementaries at 1 and the upper ones at t_n..t_1."""
+    """Product of the lower unit elementaries at 1 and the upper ones at t_n..t_1.
+
+    Each factor is the identity plus v at the 0-based position (r, c), so
+    multiplying the product by it on the right is the column operation
+    column c += v * column r.  The factors are, in order, the lower ones
+    (r, c) = (i + 1, i) with v = 1 for i = 0 .. n-1, then the upper ones
+    (r, c) = (i, i + 1) with v = t_{i+1} for i = n-1 .. 0.
+    """
     ring = PolyRing(tuple(f"t{i}" for i in range(1, n + 1)))
     size = n + 1
     prod = [[ring.one() if a == b else ring.zero() for b in range(size)] for a in range(size)]
-    for i in range(n):
-        prod = _mat_mul(ring, prod, _elementary(ring, size, i + 1, i, ring.one()))
-    for i in reversed(range(n)):
-        prod = _mat_mul(ring, prod, _elementary(ring, size, i, i + 1, ring.gen(i)))
+    steps = [(i + 1, i, ring.one()) for i in range(n)]
+    steps += [(i, i + 1, ring.gen(i)) for i in reversed(range(n))]
+    for r, c, v in steps:
+        for row in prod:
+            row[c] = row[c] + v * row[r]
     return ring, prod
 
 

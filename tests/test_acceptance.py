@@ -215,7 +215,9 @@ def test_acceptance_09_move_isomorphism():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("letter,rank", [("E", 7), ("E", 8)])
+@pytest.mark.parametrize(
+    "letter,rank", [pytest.param("E", 7, id="E7"), pytest.param("E", 8, id="E8")]
+)
 def test_acceptance_10_exceptional_exploration(letter, rank):
     started = time.time()
     failures = []

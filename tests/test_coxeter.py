@@ -398,7 +398,7 @@ def test_root_compat_matches_half_reflection_walk(spec):
     almost_positive += [-simple_root(m.n, i) for i in range(m.n)]
     for a in almost_positive:
         for b in almost_positive:
-            assert root_compat(m, a, b, eps) == _half_reflection_walk(m, a, b, eps), (a, b)
+            assert root_compat(m, a, b) == _half_reflection_walk(m, a, b, eps), (a, b)
 
 
 @pytest.mark.parametrize("backward", [False, True])

@@ -1,16 +1,21 @@
-"""Source hygiene without a linter: unused imports and unreferenced private
-functions in ``src/coxclusters``, found with the standard library's ``ast``.
+"""Source hygiene without a linter: unused imports, unreferenced private
+functions and defaults no call overrides in ``src/coxclusters``, found with
+the standard library's ``ast``.
 
 An import counts as used when its bound name appears as a name anywhere in
 the module, string annotations included.  ``__future__`` imports and the
 re-exports of ``__init__.py`` are exempt.  A module-level function whose
 name starts with one underscore, and a method of a module-level class that
 is private in the same sense or a cached property, must be referenced
-somewhere in ``src/`` or ``tests/`` outside its own body.
+somewhere in ``src/`` or ``tests/`` outside its own body.  A parameter
+with a default must be passed, by position or by keyword, by some call in
+``src/``, ``tests/`` or ``perfbench/``, calls matched by the called name
+alone: a default that no call overrides belongs in the body as a constant.
 """
 
 import ast
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -18,6 +23,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "coxclusters").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _parse(path):
@@ -110,6 +116,49 @@ def unreferenced_private_functions(modules, others):
     ]
 
 
+def _defaulted(tree):
+    """(name, parameter, position) of each parameter with a default of a
+    function in ``tree``: ``name`` is the name its calls use (the class, for
+    an ``__init__``), ``position`` its index among a call's positional
+    arguments (a leading self or cls not counted), None for a keyword-only
+    parameter."""
+    for parent in ast.walk(tree):
+        for node in ast.iter_child_nodes(parent):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = parent.name if node.name == "__init__" else node.name
+            a = node.args
+            positional = a.posonlyargs + a.args
+            bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            for k in range(len(positional) - len(a.defaults), len(positional)):
+                yield name, positional[k].arg, k - bound
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def unpassed_defaults(modules, others):
+    """(module, function, parameter) of each parameter with a default in
+    ``modules`` (a dict of name to tree) that no call in these trees or in
+    ``others`` passes; a call with ``*args`` passes every position and one
+    with ``**kwargs`` every keyword."""
+    most, keywords = defaultdict(int), defaultdict(set)
+    for tree in [*modules.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                most[name] = max(most[name], math.inf if starred else len(node.args))
+                keywords[name] |= {k.arg for k in node.keywords}  # None for **kwargs
+    return sorted(
+        (mod, name, param)
+        for mod, tree in modules.items()
+        for name, param, position in _defaulted(tree)
+        if not (position is not None and most[name] > position)
+        and not {param, None} & keywords[name]
+    )
+
+
 @pytest.mark.parametrize("path", [p for p in SRC if p.name != "__init__.py"], ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
@@ -118,6 +167,11 @@ def test_no_unused_imports(path):
 def test_every_private_function_is_referenced():
     modules = {p.name: _parse(p) for p in SRC}
     assert unreferenced_private_functions(modules, [_parse(p) for p in TESTS]) == []
+
+
+def test_every_default_is_passed_somewhere():
+    modules = {p.name: _parse(p) for p in SRC}
+    assert unpassed_defaults(modules, [_parse(p) for p in TESTS + BENCH]) == []
 
 
 def test_unused_import_guard_is_not_vacuous():
@@ -161,4 +215,29 @@ def test_private_method_guard_is_not_vacuous():
     assert unreferenced_private_functions({"lib.py": lib}, [tests]) == [
         ("lib.py", "_only_recursive"),
         ("lib.py", "unread"),
+    ]
+
+
+def test_unpassed_default_guard_is_not_vacuous():
+    lib = ast.parse(
+        "class C:\n"
+        "    def __init__(self, a, b=0): pass\n"
+        "    def m(self, x, flag=False, *, keyed=1): pass\n"
+        "def f(a, by_position=1, by_keyword=2, never=3): pass\n"
+        "def g(unpacked=4): pass\n"
+        "def h(x, *, spread=5): pass\n"
+        "def k(x, recursive=6): return k(x - 1, recursive)\n"
+    )
+    calls = ast.parse(
+        "import lib\n"
+        "lib.C(1).m(2, True)\n"
+        "lib.f(0, 1, by_keyword=2)\n"
+        "lib.g(*args)\n"
+        "lib.h(0)\n"
+        "lib.h(0, **options)\n"
+    )
+    assert unpassed_defaults({"lib.py": lib}, [calls]) == [
+        ("lib.py", "C", "b"),
+        ("lib.py", "f", "never"),
+        ("lib.py", "m", "keyed"),
     ]

@@ -33,7 +33,7 @@ def test_interval_minor_basics():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_minor_recurrence_against_cofactor_oracle(n):
-    mat = typea.SymTriMatrix.build(n)
+    mat = typea.tridiagonal(n)
     for i in range(1, n + 2):
         for j in range(i, n + 2):
             assert typea.interval_minor(n, i, j) == typea.generic_minor(
@@ -84,7 +84,7 @@ def test_specific_relation_n2():
 
 def test_offset_minor_products():
     n = 4
-    mat = typea.SymTriMatrix.build(n)
+    mat = typea.tridiagonal(n)
     ring = typea.matrix_ring(n)
     for k in range(1, n + 1):
         upper = typea.generic_minor(mat, range(1, k + 1), range(2, k + 2))
@@ -93,6 +93,24 @@ def test_offset_minor_products():
             expect = expect * ring.gen(n + 1 + t)
         assert upper == expect
         assert typea.generic_minor(mat, range(2, k + 2), range(1, k + 1)).is_one()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_fmatrix_is_tridiagonal(n):
+    """y_1(1)..y_n(1) x_n(t_n)..x_1(t_1) is tridiagonal: diagonal
+    (1, 1 + t_1, .., 1 + t_n), superdiagonal t_1 .. t_n, subdiagonal 1."""
+    ring, prod = typea._fmatrix(n)
+    for r in range(n + 1):
+        for c in range(n + 1):
+            if r == c:
+                expect = ring.one() + (ring.gen(r - 1) if r else ring.zero())
+            elif c == r + 1:
+                expect = ring.gen(r)
+            elif r == c + 1:
+                expect = ring.one()
+            else:
+                expect = ring.zero()
+            assert prod[r][c] == expect, (r, c)
 
 
 def test_f_poly_via_matrix_values():

@@ -29,7 +29,7 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
         )
     )
 
-    mat = typea.SymTriMatrix.build(n)
+    mat = typea.tridiagonal(n)
     minor_ok = all(
         typea.interval_minor(n, i, j)
         == typea.generic_minor(mat, range(i, j + 1), range(i, j + 1))
