@@ -129,7 +129,8 @@ def _emit(args, document) -> None:
 
 
 def _render_text(document, indent: int = 0) -> str:
-    """One line per scalar, headed by its key or by ``-`` for a list item.
+    """A dict or list document as one line per scalar, headed by its key or
+    by ``-`` for a list item.
 
     A nested dict or list gets a head line of its own, and its contents are
     indented one level further.
@@ -137,10 +138,8 @@ def _render_text(document, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(document, dict):
         items = [(f"{key}:", document[key]) for key in sorted(document)]
-    elif isinstance(document, list):
-        items = [("-", value) for value in document]
     else:
-        return f"{pad}{document}"
+        items = [("-", value) for value in document]
     lines = []
     for head, value in items:
         if isinstance(value, (dict, list)):

@@ -407,10 +407,8 @@ def clusters(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, ...], .
     return tuple(tuple(labels[v] for v in clique) for clique in sorted(result))
 
 
-def cyclical_move(m: CartanMatrix, c: CoxeterElement, source: int | None = None) -> CoxeterElement:
+def cyclical_move(m: CartanMatrix, c: CoxeterElement, source: int) -> CoxeterElement:
     """Rotate a source letter of c to the end (reverse all arrows at that source)."""
-    if source is None:
-        source = c.order[0]
     if source not in c.order or any(precedes(m, c, j, source) for j in m.neighbors(source)):
         raise InvalidMove(f"index {source} is not a source of {c.order}")
     word = tuple(i for i in c.order if i != source) + (source,)
@@ -457,19 +455,12 @@ def all_coxeter_elements(m: CartanMatrix) -> tuple[CoxeterElement, ...]:
     return move_graph(m).elements
 
 
-def _move_source(m: CartanMatrix, c: CoxeterElement, ctilde: CoxeterElement) -> int:
-    for s in sources(m, c):
-        if cyclical_move(m, c, s) == ctilde:
-            return s
-    raise InvalidMove("second element is not one source rotation away from the first")
-
-
 def psi_move(
     m: CartanMatrix,
     c: CoxeterElement,
     ctilde: CoxeterElement,
     label: PiLabel,
-    source: int | None = None,
+    source: int,
 ) -> PiLabel:
     """Bijection from the label set of ctilde onto that of c for one source rotation.
 
@@ -477,9 +468,7 @@ def psi_move(
     applies the rotated reflection everywhere else; intertwines the two
     rotation permutations.
     """
-    if source is None:
-        source = _move_source(m, c, ctilde)
-    elif cyclical_move(m, c, source) != ctilde:
+    if cyclical_move(m, c, source) != ctilde:
         raise InvalidMove(f"rotating {source} does not relate the two elements")
     w = label_weight(m, ctilde, label)
     if w == -fundamental_weight(m.n, source):

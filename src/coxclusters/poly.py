@@ -30,11 +30,13 @@ bounds its quotient by [lo_p - lo_q, hi_p - hi_q].  A product's accumulator
 is its term dict, rebuilt only to drop a cancelled coefficient; a sum copies
 the operand with more terms and merges the other into the copy.
 
-Exact division eliminates the remainder's leading term, and it finds each
-next leading term by merging the once-sorted dividend keys with a heap of
-the keys the elimination creates (Johnson's heap, 1974; Monagan and Pearce,
-*Sparse polynomial division using a heap*, J. Symb. Comp. 2011), not by a
-``max`` over the whole remainder.
+Exact division eliminates the remainder's leading term, walking the
+dividend's keys sorted once; a key the elimination creates is placed by
+binary insertion.  When divisor and quotient have positive coefficients, as
+every cluster variable of the engine does (Gross, Hacking, Keel and
+Kontsevich, *Canonical bases for cluster algebras*, JAMS 2018), divisor
+times quotient cannot cancel, so every key it reaches is already a
+dividend key and nothing is inserted.
 
 ``terms`` is the tuple-keyed view, unpacked on first use.
 """
@@ -42,10 +44,10 @@ the keys the elimination creates (Johnson's heap, 1974; Monagan and Pearce,
 from __future__ import annotations
 
 import struct
+from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from heapq import heappop, heappush
 from typing import Sequence
 
 _WIDTH = 16
@@ -389,12 +391,9 @@ class LaurentPoly:
         means a nonzero remainder.
 
         The remainder's terms are reached in descending order without
-        rescanning it: the dividend's keys are sorted once and merged with a
-        heap that holds only the keys the elimination creates, in the manner
-        of Johnson's heap (1974) and of Monagan and Pearce, *Sparse
-        polynomial division using a heap* (J. Symb. Comp., 2011).  Each
-        quotient term then costs O(divisor terms * log heap) instead of a
-        scan of the whole remainder.
+        rescanning it: one key list, the dividend's keys sorted once, is
+        popped from its end, and a key the elimination creates is placed in
+        it by ``insort``.  A division without cancellation creates none.
         """
         q = divisor._t
         if not q:
@@ -432,22 +431,15 @@ class LaurentPoly:
         # and above - r is (hi - monomial) + _GUARD, both in (0, 2*_GUARD).
         below = q_lead + lo - one - guard
         above = hi + q_lead - one + guard
-        # Every key of ``rem`` sits in exactly one of ``order`` (the dividend,
-        # ascending) and ``heap`` (negated keys that elimination created), and
-        # a key that cancels keeps a 0 until it is reached.  Every offset is
-        # negative, so the keys reached strictly descend.
+        # ``order`` holds the keys of ``rem`` ascending, and a key that cancels
+        # keeps a 0 until it is reached.  Every offset is negative, so the
+        # keys reached strictly descend and a created key lands below r.
         rem = dict(self._t)
         get = rem.get
         order = sorted(rem)
-        heap: list = []
         quotient = {}
-        while True:
-            if heap and (not order or -heap[0] > order[-1]):
-                r = -heappop(heap)
-            elif order:
-                r = order.pop()
-            else:
-                break
+        while order:
+            r = order.pop()
             r_lc = rem.pop(r)
             if not r_lc:
                 continue
@@ -460,7 +452,7 @@ class LaurentPoly:
                 c = get(k)
                 if c is None:
                     rem[k] = -co * qc
-                    heappush(heap, -k)
+                    insort(order, k)
                 else:
                     rem[k] = c - co * qc
         return LaurentPoly(self.ring, quotient, lo, hi)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+from .algebra import _fpoly_ring
 from .coxeter import PiLabel
 from .poly import LaurentPoly, PolyRing
 
@@ -151,9 +152,10 @@ def _fmatrix(n: int):
     multiplying the product by it on the right is the column operation
     column c += v * column r.  The factors are, in order, the lower ones
     (r, c) = (i + 1, i) with v = 1 for i = 0 .. n-1, then the upper ones
-    (r, c) = (i, i + 1) with v = t_{i+1} for i = n-1 .. 0.
+    (r, c) = (i, i + 1) with v = t_{i+1} for i = n-1 .. 0.  The rows are
+    returned, with entries in the F-polynomial ring of :mod:`.algebra`.
     """
-    ring = PolyRing(tuple(f"t{i}" for i in range(1, n + 1)))
+    ring = _fpoly_ring(n)
     size = n + 1
     prod = [[ring.one() if a == b else ring.zero() for b in range(size)] for a in range(size)]
     steps = [(i + 1, i, ring.one()) for i in range(n)]
@@ -161,7 +163,7 @@ def _fmatrix(n: int):
     for r, c, v in steps:
         for row in prod:
             row[c] = row[c] + v * row[r]
-    return ring, prod
+    return prod
 
 
 def f_poly_via_matrix(n: int, label: PiLabel) -> LaurentPoly:
@@ -174,7 +176,7 @@ def f_poly_via_matrix(n: int, label: PiLabel) -> LaurentPoly:
     mshift = label.m
     if not (1 <= k <= n and 0 <= mshift <= n + 1 - k):
         raise ValueError(f"label ({label.i}, {label.m}) out of range for rank {n}")
-    ring, prod = _fmatrix(n)
+    prod = _fmatrix(n)
     rows = range(mshift, mshift + k)  # 0-based rows m+1 .. m+k
     picked = [tuple(prod[r][c] for c in rows) for r in rows]
     return determinant(picked)
@@ -182,7 +184,7 @@ def f_poly_via_matrix(n: int, label: PiLabel) -> LaurentPoly:
 
 def f_poly_closed_form(n: int, label: PiLabel) -> LaurentPoly:
     """1 + t_m + t_m t_{m+1} + ... + t_m .. t_{m+k-1}, empty sum for the initial variables."""
-    ring = _fmatrix(n)[0]
+    ring = _fpoly_ring(n)
     total = ring.one()
     if label.m == 0:
         return total

@@ -29,17 +29,11 @@ class Weight:
 
     g: tuple[int, ...]
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(x + y for x, y in zip(self.g, other.g)))
-
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(x - y for x, y in zip(self.g, other.g)))
 
     def __neg__(self) -> "Weight":
         return Weight(tuple(-x for x in self.g))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.g)
 
 
 @dataclass(frozen=True)
@@ -47,12 +41,6 @@ class Root:
     """Integer vector in the simple-root basis."""
 
     d: tuple[int, ...]
-
-    def __add__(self, other: "Root") -> "Root":
-        return Root(tuple(x + y for x, y in zip(self.d, other.d)))
-
-    def __sub__(self, other: "Root") -> "Root":
-        return Root(tuple(x - y for x, y in zip(self.d, other.d)))
 
     def __neg__(self) -> "Root":
         return Root(tuple(-x for x in self.d))

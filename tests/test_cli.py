@@ -135,6 +135,17 @@ def test_cap_below_one_is_usage_error(cap, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: COXCLUSTERS_CAP must be at least 1, got {cap}\n"
 
 
+def test_bad_cap_env_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("COXCLUSTERS_CAP", "abc")
+    assert main(["explore", "--type", "A2", "--coxeter", "1,2"]) == 2
+    assert capsys.readouterr().err == "error: bad COXCLUSTERS_CAP value 'abc'\n"
+
+
+def test_typea_rank_below_one_is_usage_error(capsys):
+    assert main(["typea", "--n", "0"]) == 2
+    assert capsys.readouterr().err == "error: --n must be at least 1\n"
+
+
 def test_typea_takes_no_cap(capsys):
     assert main(["typea", "--n", "2", "--cap", "1"]) == 2
     assert "unrecognized arguments: --cap 1" in capsys.readouterr().err

@@ -249,7 +249,7 @@ def test_clusters_match_brute_force(spec):
 def test_cyclical_move_rotation(a3):
     c = coxeter_element(a3, (0, 1, 2))
     # Rotating the first letter to the end, up to commuting letters.
-    assert cyclical_move(a3, c) == coxeter_element(a3, (1, 2, 0))
+    assert cyclical_move(a3, c, 0) == coxeter_element(a3, (1, 2, 0))
     for not_a_source in (2, 3, -1):
         with pytest.raises(InvalidMove):
             cyclical_move(a3, c, source=not_a_source)
@@ -278,7 +278,7 @@ def test_psi_move_on_fundamentals(a3):
         assert psi_move(a3, c, ct, PiLabel(i, 0), 0) == PiLabel(i, 0)
     assert psi_move(a3, c, ct, PiLabel(0, 0), 0) == PiLabel(0, 1)
     with pytest.raises(InvalidMove):
-        psi_move(a3, c, coxeter_element(a3, (2, 1, 0)), PiLabel(0, 0))
+        psi_move(a3, c, coxeter_element(a3, (2, 1, 0)), PiLabel(0, 0), 0)
 
 
 def move_transport(m, c, source):

@@ -7,8 +7,12 @@ division and numerators must give the same results, or the same
 ``InexactDivision``, on random inputs and on every step an exploration
 takes.  ``reference_explore`` walks the exchange graph with the public
 ``mutate`` and keys each seed by its whole canonical form, B~ included;
-``explore`` must return the same graph.
+``explore`` must return the same graph.  A counting ``poly.insort`` shows
+that the engine's divisions never insert a key into the division's key
+list, while a cancelling division does.
 """
+
+from bisect import insort
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +20,16 @@ from hypothesis import strategies as st
 
 from coxclusters import (
     InexactDivision,
+    InternalCheckError,
     PolyRing,
     algebra,
     b_matrix,
+    bipartite_element,
     cartan_from_text,
     coxeter_element,
     explore,
     mutate,
+    poly,
     principal_seed,
     universal_seed,
 )
@@ -173,6 +180,57 @@ def test_exact_div_with_cancellation_matches_reference(a, e, f, c, n, g, h):
     product = PAIR.from_terms(a) * (u ** n - v ** n)
     for p in (product, product + PAIR.monomial(g, h)):
         assert_same_division(p, q)
+
+
+def _count_insertions(monkeypatch):
+    """Record every key that exact division inserts into its key list."""
+    inserted = []
+
+    def counting(order, key):
+        inserted.append(key)
+        insort(order, key)
+
+    monkeypatch.setattr(poly, "insort", counting)
+    return inserted
+
+
+@pytest.mark.parametrize("spec, make", [("E6", principal_seed), ("F4", universal_seed)])
+def test_positive_divisions_insert_no_key(spec, make, monkeypatch):
+    """Every dividend of a walk is the product of two cluster variables, which
+    have positive coefficients, so no term of divisor x quotient cancels and
+    the elimination never reaches a key outside the dividend."""
+    inserted = _count_insertions(monkeypatch)
+    m = cartan_from_text(spec)
+    assert explore(make(m, bipartite_element(m))).edges
+    assert inserted == []
+
+
+def test_cancelling_division_inserts_keys(monkeypatch):
+    """(x**2 - 1) / (x - 1) cancels x and reaches it through an insertion."""
+    inserted = _count_insertions(monkeypatch)
+    x, one = PAIR.gen(0), PAIR.one()
+    assert (x ** 2 - one).exact_div(x - one) == x + one
+    assert inserted
+
+
+def _symmetric_principal_seed():
+    """Principal coefficients over B = [[0, 1], [1, 0]], which is not
+    skew-symmetrizable, so some exchange relation is not Laurent."""
+    ring = PolyRing(("x1", "x2", "y1", "y2"))
+    columns = extended_columns(((0, 1), (1, 0)), ((1, 0), (0, 1)))
+    return Seed(ring=ring, n=2, cluster=(ring.gen(0), ring.gen(1)), columns=columns)
+
+
+def test_explore_reports_a_non_laurent_relation():
+    with pytest.raises(InternalCheckError, match="exchange relation not Laurent at seed") as info:
+        explore(_symmetric_principal_seed())
+    assert isinstance(info.value.__cause__, InexactDivision)
+
+
+def test_mutate_reports_a_non_laurent_relation():
+    seed = mutate(mutate(_symmetric_principal_seed(), 0), 1)
+    with pytest.raises(InternalCheckError, match="exchange relation not Laurent in direction 0"):
+        mutate(seed, 0)
 
 
 # -- every step of an exploration -------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from coxclusters import PiLabel, cartan_from_label, coxeter_element
 from coxclusters import typea
+from coxclusters.algebra import _fpoly_ring
 from coxclusters.cli import main
 from coxclusters.poly import InexactDivision
 import typea_suites
@@ -99,7 +100,8 @@ def test_offset_minor_products():
 def test_fmatrix_is_tridiagonal(n):
     """y_1(1)..y_n(1) x_n(t_n)..x_1(t_1) is tridiagonal: diagonal
     (1, 1 + t_1, .., 1 + t_n), superdiagonal t_1 .. t_n, subdiagonal 1."""
-    ring, prod = typea._fmatrix(n)
+    ring = _fpoly_ring(n)
+    prod = typea._fmatrix(n)
     for r in range(n + 1):
         for c in range(n + 1):
             if r == c:
@@ -111,6 +113,24 @@ def test_fmatrix_is_tridiagonal(n):
             else:
                 expect = ring.zero()
             assert prod[r][c] == expect, (r, c)
+
+
+def test_closed_form_builds_no_matrix(monkeypatch):
+    """The closed form is the oracle of the matrix minors, so it must not
+    compute the matrix product it checks."""
+
+    def fail(n):
+        raise AssertionError("f_poly_closed_form built the matrix product")
+
+    monkeypatch.setattr(typea, "_fmatrix", fail)
+    ring = _fpoly_ring(3)
+    t1, t2, t3 = (ring.gen(i) for i in range(3))
+    assert typea.f_poly_closed_form(3, PiLabel(1, 0)).is_one()
+    assert typea.f_poly_closed_form(3, PiLabel(0, 1)) == ring.one() + t1
+    assert typea.f_poly_closed_form(3, PiLabel(2, 1)) == ring.one() + t1 + t1 * t2 + t1 * t2 * t3
+    assert typea.f_poly_closed_form(3, PiLabel(1, 2)) == ring.one() + t2 + t2 * t3
+    with pytest.raises(AssertionError):
+        typea.f_poly_via_matrix(3, PiLabel(0, 1))
 
 
 def test_f_poly_via_matrix_values():
