@@ -82,9 +82,12 @@ class Seed(_ExtendedMatrix):
     """
 
     ring: PolyRing
-    n: int
     cluster: tuple[LaurentPoly, ...]
     columns: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.cluster)
 
     @property
     def gens(self) -> tuple[str, ...]:
@@ -151,7 +154,7 @@ def mutate(s: Seed, k: int) -> Seed:
         raise InternalCheckError(f"exchange relation not Laurent in direction {k}") from exc
     cluster = list(s.cluster)
     cluster[k] = new_var
-    return Seed(ring=s.ring, n=s.n, cluster=tuple(cluster), columns=_mutate(s.columns, k, parts))
+    return Seed(ring=s.ring, cluster=tuple(cluster), columns=_mutate(s.columns, k, parts))
 
 
 def _principal_columns(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[int, ...], ...]:
@@ -166,7 +169,6 @@ def principal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n)))
     return Seed(
         ring=ring,
-        n=n,
         cluster=tuple(ring.gen(i) for i in range(n)),
         columns=_principal_columns(m, c),
     )
@@ -520,7 +522,6 @@ def universal_seed(m: CartanMatrix, c: CoxeterElement) -> Seed:
         coeffs.append(tuple(exps))
     return Seed(
         ring=ring,
-        n=n,
         cluster=tuple(ring.gen(i) for i in range(n)),
         columns=extended_columns(b_matrix(m, c), coeffs),
     )

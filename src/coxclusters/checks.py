@@ -307,14 +307,15 @@ def shares_cluster_with_initial(cluster_sets) -> set:
 
 
 @lru_cache(maxsize=1)
-def _explored(
+def principal_run(
     m: CartanMatrix, c: CoxeterElement, cap: int
 ) -> tuple[ExchangeGraph, tuple[ClusterVariableRecord, ...]]:
-    """The principal exchange graph and its records, shared by the suites of
-    one orientation.
+    """The principal exchange graph and its records in variable-id order,
+    shared by the suites of one orientation and by the CLI's reports.
 
     Only the last instance is kept: ``verify`` runs the suites of one
-    orientation back to back, and keeping the graph of every orientation
+    orientation back to back, ``info`` and ``explore`` report one
+    orientation at a time, and keeping the graph of every orientation
     would hold them all until exit.
     """
     graph = explore(principal_seed(m, c), cap=cap)
@@ -329,7 +330,7 @@ def engine_against_formulas(
     primitive relations, cluster families, and the separation identity."""
     name = _fmt_c(c)
     out = []
-    graph, records = _explored(m, c, cap)
+    graph, records = principal_run(m, c, cap)
     h, _ = h_vector(m, c)
     labelled = pi_set(m, c)
 
@@ -433,7 +434,7 @@ def universal_checks(
 
     order = [lab for lab, _ in pi_set(m, c)]
     project = itemgetter(*range(m.n), *(m.n + order.index(PiLabel(i, 0)) for i in range(m.n)))
-    pgraph, precs = _explored(m, c, cap)
+    pgraph, precs = principal_run(m, c, cap)
     principal_seeds = sorted(
         relabel_seed([precs[v].label for v in s.var_ids], s.columns) for s in pgraph.seeds
     )

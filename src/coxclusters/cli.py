@@ -31,13 +31,7 @@ import sys
 from pathlib import Path
 
 from . import checks, typea
-from .algebra import (
-    CapExceeded,
-    DEFAULT_CAP,
-    explore,
-    principal_seed,
-    records_for,
-)
+from .algebra import CapExceeded, DEFAULT_CAP
 from .cartan import (
     CartanMatrix,
     InvalidCartanMatrix,
@@ -160,16 +154,10 @@ def _record_json(rec) -> dict:
     }
 
 
-def _principal_run(m: CartanMatrix, c: CoxeterElement, args):
-    """Explore from the principal seed; the graph and its records sorted by label."""
-    graph = explore(principal_seed(m, c), cap=_default_cap(args))
-    return graph, sorted(records_for(m, c, graph), key=lambda r: r.label)
-
-
 def _info_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
     h, star = h_vector(m, c)
-    graph, records = _principal_run(m, c, args)
-    variables = [_record_json(rec) for rec in records]
+    graph, records = checks.principal_run(m, c, _default_cap(args))
+    variables = [_record_json(rec) for rec in sorted(records, key=lambda r: r.label)]
     label_names = {rec.label: f"{rec.label.i + 1}.{rec.label.m}" for rec in records}
     cluster_family = [
         sorted(label_names[lab] for lab in cl) for cl in clusters(m, c)
@@ -250,7 +238,7 @@ def cmd_explore(args) -> int:
     m = _load_cartan(args.type)
     docs = []
     for c in _parse_coxeter(m, args.coxeter):
-        graph, records = _principal_run(m, c, args)
+        graph, records = checks.principal_run(m, c, _default_cap(args))
         docs.append(
             {
                 "type": args.type,
@@ -260,7 +248,7 @@ def cmd_explore(args) -> int:
                 "variables": len(graph.variables),
                 "records": [
                     {**_record_json(rec), "expansion": str(rec.expansion)}
-                    for rec in records
+                    for rec in sorted(records, key=lambda r: r.label)
                 ],
             }
         )

@@ -30,13 +30,15 @@ bounds its quotient by [lo_p - lo_q, hi_p - hi_q].  A product's accumulator
 is its term dict, rebuilt only to drop a cancelled coefficient; a sum copies
 the operand with more terms and merges the other into the copy.
 
-Exact division eliminates the remainder's leading term, walking the
-dividend's keys sorted once; a key the elimination creates is placed by
-binary insertion.  When divisor and quotient have positive coefficients, as
-every cluster variable of the engine does (Gross, Hacking, Keel and
-Kontsevich, *Canonical bases for cluster algebras*, JAMS 2018), divisor
-times quotient cannot cancel, so every key it reaches is already a
-dividend key and nothing is inserted.
+Each operation has one code path, monomial operands included.  A product
+is one loop over term pairs.  Exact division is one loop that eliminates
+the remainder's leading term, walking the dividend's keys sorted once; a
+key the elimination creates is placed by binary insertion.  When divisor
+and quotient have positive coefficients, as every cluster variable of the
+engine does (Gross, Hacking, Keel and Kontsevich, *Canonical bases for
+cluster algebras*, JAMS 2018), divisor times quotient cannot cancel, so
+every key it reaches is already a dividend key and nothing is inserted.
+A negative power is one exact division of 1, raised to the positive power.
 
 ``terms`` is the tuple-keyed view, unpacked on first use.
 """
@@ -268,9 +270,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._t == {self.ring.layout.one: 1}
 
-    def is_monomial(self) -> bool:
-        return len(self._t) == 1
-
     def monomial_exps(self) -> tuple[int, ...]:
         (key,) = self._t
         return self.ring.layout.unpack(key)
@@ -328,7 +327,10 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        """The accumulator is the term dict, rebuilt only if a coefficient cancelled."""
+        """One loop over the term pairs, a monomial factor included; each row
+        of the smaller operand shifts the larger one's keys by one offset.
+        The accumulator is the term dict, rebuilt only if a coefficient
+        cancelled."""
         a, b = (self, other) if len(self._t) <= len(other._t) else (other, self)
         if not a._t:
             return LaurentPoly(self.ring, {})
@@ -339,20 +341,12 @@ class LaurentPoly:
         lo = alo + blo - one
         hi = ahi + bhi - one
         layout.check(lo, hi)
-        if len(a._t) == 1:
-            ((ka, ca),) = a._t.items()
-            d = ka - one
-            if ca == 1:
-                out = {k + d: c for k, c in b._t.items()}
-            else:
-                out = {k + d: c * ca for k, c in b._t.items()}
-            return LaurentPoly(self.ring, out, lo, hi)
         acc: dict = {}
         get = acc.get
-        items = [(k - one, c) for k, c in b._t.items()]
         for ka, ca in a._t.items():
-            for kb, cb in items:
-                k = ka + kb
+            d = ka - one
+            for kb, cb in b._t.items():
+                k = kb + d
                 acc[k] = get(k, 0) + ca * cb
         if 0 in acc.values():
             acc = {k: c for k, c in acc.items() if c}
@@ -361,15 +355,10 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         """Power by repeated squaring.  The product starts from the first
         factor it needs, so ``p ** 1`` is ``p`` itself and costs no product.
-        A negative power exists only for a monomial with coefficient +-1."""
+        A negative power is the positive power of one exact division of 1,
+        so it exists only for a monomial with coefficient +-1."""
         if k < 0:
-            if not self.is_monomial():
-                raise InexactDivision("negative power of a non-monomial")
-            ((key, coef),) = self._t.items()
-            if abs(coef) != 1:
-                raise InexactDivision("negative power of a non-unit coefficient")
-            exps = self.ring.layout.unpack(key)
-            return self.ring.monomial(tuple(e * k for e in exps), coef ** (k & 1 or 2))
+            return self.ring.one().exact_div(self) ** -k
         if not k:
             return self.ring.one()
         result = None
@@ -385,10 +374,10 @@ class LaurentPoly:
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact Laurent division; raises :class:`InexactDivision` otherwise.
 
-        Leading-term elimination against the single divisor, which detects
-        divisibility exactly.  An exact quotient lies in the box
-        [lo_p - lo_q, hi_p - hi_q]; a leading quotient monomial outside it
-        means a nonzero remainder.
+        One leading-term elimination loop for every divisor, a monomial
+        included, which detects divisibility exactly.  An exact quotient
+        lies in the box [lo_p - lo_q, hi_p - hi_q]; a leading quotient
+        monomial outside it means a nonzero remainder.
 
         The remainder's terms are reached in descending order without
         rescanning it: one key list, the dividend's keys sorted once, is
@@ -403,20 +392,9 @@ class LaurentPoly:
         layout = self.ring.layout
         one, guard = layout.one, layout.guard
         plo, phi = self._box()
-        if len(q) == 1:
-            ((qk, qc),) = q.items()
-            d = one - qk
-            lo, hi = plo + d, phi + d
-            layout.check(lo, hi)
-            out = {}
-            for k, c in self._t.items():
-                if c % qc:
-                    raise InexactDivision("coefficient not divisible")
-                out[k + d] = c // qc
-            return LaurentPoly(self.ring, out, lo, hi)
+        qlo, qhi = divisor._box()
         # Every field below stays in [0, 2**16): a difference of two exponents
         # from one box is smaller than 2*_GUARD in absolute value.
-        qlo, qhi = divisor._box()
         lo = plo - qlo + one
         hi = phi - qhi + one
         if ((hi - lo + guard) & layout.top) != guard:

@@ -97,7 +97,6 @@ def permuted_seed(seed, perm):
     the c-vectors, and the rows and columns of B, moved explicitly."""
     return Seed(
         ring=seed.ring,
-        n=seed.n,
         cluster=tuple(seed.cluster[t] for t in perm),
         columns=extended_columns(
             tuple(tuple(seed.B[a][b] for b in perm) for a in perm),

@@ -396,7 +396,6 @@ def test_public_mutate_rederives_every_edge(spec):
         for i, view in enumerate(g.seeds):
             s = Seed(
                 ring=g.ring,
-                n=g.n,
                 cluster=tuple(g.variables[v] for v in view.var_ids),
                 columns=view.columns,
             )

@@ -156,7 +156,7 @@ def test_typea_takes_no_cap(capsys):
     [
         ("coxclusters.cli.h_vector", InternalCheckError("injected")),
         ("coxclusters.algebra.weight_label", KeyError((1, 0))),
-        ("coxclusters.cli.explore", OverflowError("injected")),
+        ("coxclusters.checks.principal_run", OverflowError("injected")),
     ],
 )
 def test_internal_error_exit_code(target, exc, monkeypatch, capsys):

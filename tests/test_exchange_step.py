@@ -218,7 +218,7 @@ def _symmetric_principal_seed():
     skew-symmetrizable, so some exchange relation is not Laurent."""
     ring = PolyRing(("x1", "x2", "y1", "y2"))
     columns = extended_columns(((0, 1), (1, 0)), ((1, 0), (0, 1)))
-    return Seed(ring=ring, n=2, cluster=(ring.gen(0), ring.gen(1)), columns=columns)
+    return Seed(ring=ring, cluster=(ring.gen(0), ring.gen(1)), columns=columns)
 
 
 def test_explore_reports_a_non_laurent_relation():
@@ -337,7 +337,6 @@ def coefficient_free_seed(m, c):
     ring = PolyRing(tuple(f"x{i + 1}" for i in range(m.n)))
     return Seed(
         ring=ring,
-        n=m.n,
         cluster=tuple(ring.gen(i) for i in range(m.n)),
         columns=extended_columns(b_matrix(m, c), [()] * m.n),
     )

@@ -42,6 +42,8 @@ def test_negative_powers_of_monomials(ring):
     assert (x1 ** -2).terms == {(-2, 0, 0): 1}
     with pytest.raises(InexactDivision):
         (x1 + ring.gen(1)) ** -1
+    with pytest.raises(ZeroDivisionError):
+        ring.zero() ** -1
 
 
 def test_exact_division(ring):
@@ -102,7 +104,8 @@ def test_project_and_evaluate():
 PROPS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 RING = PolyRing(("x1", "x2", "y1"))
 EXPS = st.tuples(*[st.integers(-4, 4)] * RING.nvars)
-MODELS = st.dictionaries(EXPS, st.integers(-6, 6).filter(bool), max_size=6)
+COEFS = st.integers(-6, 6).filter(bool)
+MODELS = st.dictionaries(EXPS, COEFS, max_size=6)
 
 
 def model_add(a, b):
@@ -122,13 +125,15 @@ def model_mul(a, b):
 
 
 @PROPS
-@given(MODELS, MODELS)
-def test_sum_and_product_match_model(a, b):
-    p, q = RING.from_terms(a), RING.from_terms(b)
+@given(MODELS, MODELS, EXPS, COEFS)
+def test_sum_and_product_match_model(a, b, exps, coef):
+    """The monomial coef*x^exps is a factor on either side of a product."""
+    p, q, m = RING.from_terms(a), RING.from_terms(b), RING.monomial(exps, coef)
     assert (p + q).terms == model_add(a, b)
     assert (p - q).terms == model_add(a, {e: -c for e, c in b.items()})
     assert (p * q).terms == model_mul(a, b)
     assert (p * q).is_zero() == (not model_mul(a, b))
+    assert (m * p).terms == (p * m).terms == model_mul({exps: coef}, a)
 
 
 def _assert_stored_terms_and_box(p):
@@ -164,14 +169,22 @@ def test_ring_axioms(a, b, c):
 
 
 @PROPS
-@given(MODELS, MODELS.filter(bool))
-def test_product_divides_back(a, b):
-    p, q = RING.from_terms(a), RING.from_terms(b)
+@given(MODELS, MODELS.filter(bool), EXPS, COEFS)
+def test_product_divides_back(a, b, e, c):
+    """Also by the monomial c*x^e, which divides p itself exactly when c
+    divides every coefficient of p."""
+    p, q, m = RING.from_terms(a), RING.from_terms(b), RING.monomial(e, c)
     assert (p * q).exact_div(q) == p
+    assert (m * p).exact_div(m) == p
+    if any(coef % c for coef in a.values()):
+        with pytest.raises(InexactDivision):
+            p.exact_div(m)
+    else:
+        assert p.exact_div(m) * m == p
 
 
 @PROPS
-@given(MODELS, MODELS.filter(bool), EXPS, st.integers(-6, 6).filter(bool))
+@given(MODELS, MODELS.filter(bool), EXPS, COEFS)
 def test_perturbed_product_division(a, b, e, c):
     """p*q + c*x^e is divisible by q exactly when c*x^e is: q must be a
     monomial whose coefficient divides c, since the units are +-x^a."""
@@ -224,8 +237,11 @@ def test_exponent_beyond_layout_raises(ring):
         with pytest.raises(OverflowError):
             ring.monomial(exps)
     top = x1 ** EXP_MAX
-    with pytest.raises(OverflowError):
-        top * x1
+    for factor in (x1, ring.monomial((1, 0, 0), -2), x1 + ring.gen(1)):
+        with pytest.raises(OverflowError):
+            ring.monomial((EXP_MAX, 0, 0), 3) * factor
+        with pytest.raises(OverflowError):
+            factor * top
     with pytest.raises(OverflowError):
         (top + ring.gen(1)) * (x1 + ring.one())
     with pytest.raises(OverflowError):

@@ -5,12 +5,13 @@ the standard library's ``ast``.
 An import counts as used when its bound name appears as a name anywhere in
 the module, string annotations included.  ``__future__`` imports and the
 re-exports of ``__init__.py`` are exempt.  A module-level function whose
-name starts with one underscore, and a method of a module-level class that
-is private in the same sense or a cached property, must be referenced
-somewhere in ``src/`` or ``tests/`` outside its own body.  A parameter
-with a default must be passed, by position or by keyword, by some call in
-``src/``, ``tests/`` or ``perfbench/``, calls matched by the called name
-alone: a default that no call overrides belongs in the body as a constant.
+name starts with one underscore, and every method of a module-level class
+other than a dunder, properties and cached properties included, must be
+referenced somewhere in ``src/`` or ``tests/`` outside its own body.  A
+parameter with a default must be passed, by position or by keyword, by
+some call in ``src/``, ``tests/`` or ``perfbench/``, calls matched by the
+called name alone: a default that no call overrides belongs in the body as
+a constant.
 """
 
 import ast
@@ -80,27 +81,19 @@ def _is_private(name):
     return name.startswith("_") and not name.startswith("__")
 
 
-def _is_cached_property(node):
-    return any(
-        getattr(d, "id", getattr(d, "attr", "")) == "cached_property" for d in node.decorator_list
-    )
-
-
 def _guarded(tree):
-    """The module-level private functions of a module, and the private
-    methods and cached properties of its module-level classes."""
+    """The module-level private functions of a module, and every method of
+    its module-level classes but the dunders."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and _is_private(node.name):
             yield node
         elif isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, ast.FunctionDef) and (
-                    _is_private(member.name) or _is_cached_property(member)
-                ):
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
                     yield member
 
 
-def unreferenced_private_functions(modules, others):
+def unreferenced_functions(modules, others):
     """(module, name) of each function of ``modules`` (a dict of name to
     tree) named by :func:`_guarded` that no tree references outside its own
     body; ``others`` are further trees, such as the tests, that may
@@ -166,7 +159,7 @@ def test_no_unused_imports(path):
 
 def test_every_private_function_is_referenced():
     modules = {p.name: _parse(p) for p in SRC}
-    assert unreferenced_private_functions(modules, [_parse(p) for p in TESTS]) == []
+    assert unreferenced_functions(modules, [_parse(p) for p in TESTS]) == []
 
 
 def test_every_default_is_passed_somewhere():
@@ -193,7 +186,7 @@ def test_private_function_guard_is_not_vacuous():
         "def public(): return _used()\n"
     )
     tests = ast.parse("import lib\nlib._tested()\n")
-    assert unreferenced_private_functions({"lib.py": lib}, [tests]) == [
+    assert unreferenced_functions({"lib.py": lib}, [tests]) == [
         ("lib.py", "_only_recursive")
     ]
 
@@ -206,14 +199,20 @@ def test_private_method_guard_is_not_vacuous():
         "    def _used(self): pass\n"
         "    def _only_recursive(self): return self._only_recursive()\n"
         "    def public(self): pass\n"
+        "    def called(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
         "    @cached_property\n"
         "    def unread(self): return 1\n"
         "    @cached_property\n"
         "    def tested(self): return 2\n"
+        "    def __len__(self): return 0\n"
     )
-    tests = ast.parse("import lib\nlib.C().tested\n")
-    assert unreferenced_private_functions({"lib.py": lib}, [tests]) == [
+    tests = ast.parse("import lib\nc = lib.C()\nc.tested\nc.called()\n")
+    assert unreferenced_functions({"lib.py": lib}, [tests]) == [
         ("lib.py", "_only_recursive"),
+        ("lib.py", "public"),
+        ("lib.py", "size"),
         ("lib.py", "unread"),
     ]
 

@@ -9,7 +9,7 @@ the tests call them.
 from coxclusters import typea
 from coxclusters.algebra import explore, label_variables, universal_seed
 from coxclusters.cartan import cartan_from_label
-from coxclusters.checks import CheckResult, _explored, _result
+from coxclusters.checks import CheckResult, _result, principal_run
 from coxclusters.coxeter import coxeter_element, pi_set
 from conftest import evaluate
 
@@ -52,7 +52,7 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
 
     m = cartan_from_label("A", n)
     c = coxeter_element(m, range(n))
-    graph, records = _explored(m, c, engine_cap)
+    graph, records = principal_run(m, c, engine_cap)
 
     fm_ok = True
     fc_ok = True
