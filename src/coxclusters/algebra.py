@@ -30,7 +30,6 @@ from .coxeter import (
     PrimitiveRelation,
     b_matrix,
     compatibility_table,
-    cyclical_move,
     denominator,
     pi_set,
     precedes,
@@ -76,9 +75,9 @@ class Seed(_ExtendedMatrix):
     """Labelled seed: cluster and extended exchange matrix.
 
     ``ring`` holds the ambient Laurent slots: the first ``n`` names are the
-    initial cluster variables, the rest the semifield generators ``gens``.
+    initial cluster variables, the rest the semifield generators.
     ``columns[j]`` is column j of B~: column j of B, then the c-vector of
-    slot j over ``gens``.
+    slot j over the generators.
     """
 
     ring: PolyRing
@@ -88,10 +87,6 @@ class Seed(_ExtendedMatrix):
     @property
     def n(self) -> int:
         return len(self.cluster)
-
-    @property
-    def gens(self) -> tuple[str, ...]:
-        return self.ring.names[self.n:]
 
     def coeff_monomial(self, exps: tuple[int, ...]) -> LaurentPoly:
         return self.ring.monomial((0,) * self.n + exps)
@@ -457,12 +452,14 @@ def records_for(
     return tuple(extract_record(m, c, z) for z in graph.variables)
 
 
-def _separation_form(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRecord,
-                     ring: PolyRing) -> LaurentPoly:
+def separation_form(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRecord,
+                    ring: PolyRing) -> LaurentPoly:
     """x^g F(y^_1, ..., y^_n), y^_j being the monomial of column j of the
-    principal B~ = [B; I]: each term t^a of F goes to the one monomial with
-    exponents (g, 0) + sum_j a_j (column j), keeping its coefficient.  The
-    lower n exponents of that monomial are a, so no two terms meet."""
+    principal B~ = [B; I], which the separation formula (Fomin and
+    Zelevinsky, Cluster algebras IV, Cor. 6.3) equates with the expansion:
+    each term t^a of F goes to the one monomial with exponents
+    (g, 0) + sum_j a_j (column j), keeping its coefficient.  The lower n
+    exponents of that monomial are a, so no two terms meet."""
     columns = _principal_columns(m, c)
     out = {}
     for a, coef in rec.fpoly.terms.items():
@@ -472,13 +469,6 @@ def _separation_form(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRec
                 exps = tuple(e + aj * x for e, x in zip(exps, col))
         out[exps] = coef
     return ring.from_terms(out)
-
-
-def check_separation(m: CartanMatrix, c: CoxeterElement, rec: ClusterVariableRecord,
-                     ring: PolyRing) -> bool:
-    """The expansion must factor as (cluster monomial to the g-vector) times
-    the F-polynomial evaluated at the hatted coefficients."""
-    return _separation_form(m, c, rec, ring) == rec.expansion
 
 
 def label_variables(
@@ -547,64 +537,4 @@ def universal_primitive_relations(
             constant_coef=column,
         )
         for pr, delta, column in zip(primitive_relations(m, c), labels, columns)
-    )
-
-
-# -- source-rotation isomorphism ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MoveReport:
-    source: int
-    b_matrix_ok: bool
-    y_source_ok: bool
-    y_others_ok: bool
-    x_formula_ok: bool
-    label_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.b_matrix_ok
-            and self.y_source_ok
-            and self.y_others_ok
-            and self.x_formula_ok
-            and self.label_ok
-        )
-
-
-def verify_move_isomorphism(m: CartanMatrix, c: CoxeterElement, source: int) -> MoveReport:
-    """Mutating the principal seed at a source must produce the rotated element's data.
-
-    Checks the exchange matrix, the coefficient tuple (source generator
-    inverted, neighbors multiplied by its positive powers), the closed form
-    of the new variable, and its label.
-    """
-    s0 = principal_seed(m, c)
-    s1 = mutate(s0, source)
-    ctilde = cyclical_move(m, c, source)
-    b_ok = s1.B == b_matrix(m, ctilde)
-    n = m.n
-    y_src_ok = s1.coeffs[source] == tuple(-int(j == source) for j in range(n))
-    y_others_ok = all(
-        s1.coeffs[j]
-        == tuple(int(t == j) - m.a[source][j] * int(t == source) for t in range(n))
-        for j in range(n)
-        if j != source
-    )
-    expected = s0.coeff_monomial(s0.coeffs[source])
-    prod = s0.ring.one()
-    for i in range(n):
-        if i != source and m.a[i][source] != 0:
-            prod = prod * s0.ring.gen(i) ** (-m.a[i][source])
-    expected = (expected + prod) * s0.ring.gen(source) ** -1
-    x_ok = s1.cluster[source] == expected
-    label_ok = extract_record(m, c, s1.cluster[source]).label == PiLabel(source, 1)
-    return MoveReport(
-        source=source,
-        b_matrix_ok=b_ok,
-        y_source_ok=y_src_ok,
-        y_others_ok=y_others_ok,
-        x_formula_ok=x_ok,
-        label_ok=label_ok,
     )

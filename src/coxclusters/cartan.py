@@ -60,9 +60,6 @@ class CartanMatrix:
     def transpose(self) -> "CartanMatrix":
         return validate([[self.a[j][i] for j in range(self.n)] for i in range(self.n)])
 
-    def is_indecomposable(self) -> bool:
-        return len(self.components) == 1
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (i, j) for i in range(self.n) for j in range(i + 1, self.n) if self.a[i][j] != 0

@@ -234,24 +234,24 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
+def _explore_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
+    graph, records = checks.principal_run(m, c, _default_cap(args))
+    return {
+        "type": args.type,
+        "coxeter": [i + 1 for i in c.order],
+        "seeds": len(graph.seeds),
+        "edges": len(graph.edges),
+        "variables": len(graph.variables),
+        "records": [
+            {**_record_json(rec), "expansion": str(rec.expansion)}
+            for rec in sorted(records, key=lambda r: r.label)
+        ],
+    }
+
+
 def cmd_explore(args) -> int:
     m = _load_cartan(args.type)
-    docs = []
-    for c in _parse_coxeter(m, args.coxeter):
-        graph, records = checks.principal_run(m, c, _default_cap(args))
-        docs.append(
-            {
-                "type": args.type,
-                "coxeter": [i + 1 for i in c.order],
-                "seeds": len(graph.seeds),
-                "edges": len(graph.edges),
-                "variables": len(graph.variables),
-                "records": [
-                    {**_record_json(rec), "expansion": str(rec.expansion)}
-                    for rec in sorted(records, key=lambda r: r.label)
-                ],
-            }
-        )
+    docs = [_explore_document(m, c, args) for c in _parse_coxeter(m, args.coxeter)]
     _emit(args, docs[0] if len(docs) == 1 else docs)
     return EXIT_OK
 

@@ -270,10 +270,6 @@ class LaurentPoly:
     def is_one(self) -> bool:
         return self._t == {self.ring.layout.one: 1}
 
-    def monomial_exps(self) -> tuple[int, ...]:
-        (key,) = self._t
-        return self.ring.layout.unpack(key)
-
     def constant_coefficient(self) -> int:
         return self._t.get(self.ring.layout.one, 0)
 

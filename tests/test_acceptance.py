@@ -23,8 +23,6 @@ from coxclusters import (
     pi_set,
     principal_seed,
     records_for,
-    sources,
-    verify_move_isomorphism,
 )
 from coxclusters import typea
 from conftest import indecomposable_types
@@ -207,10 +205,7 @@ def test_acceptance_09_move_isomorphism():
     for letter, rank in indecomposable_types(5):
         m = cartan_from_label(letter, rank)
         for c in all_coxeter_elements(m):
-            for s in sources(m, c):
-                rep = verify_move_isomorphism(m, c, s)
-                if not rep.passed:
-                    failures.append(("moves/principal-isomorphism", f"{letter}{rank}", str(rep)))
+            failures += _collect(checks.move_isomorphism_checks(m, c))
     _report(9, "source-rotation isomorphism rank<=5", failures, started)
 
 

@@ -26,17 +26,16 @@ from coxclusters import (
     principal_seed,
     records_for,
     universal_seed,
-    verify_move_isomorphism,
 )
 from coxclusters.algebra import (
     SeedView,
     _mutate,
     _principal_columns,
-    _separation_form,
     _sign_parts,
     edge_relation,
     extended_columns,
     relabel_seed,
+    separation_form,
 )
 from coxclusters.poly import LaurentPoly
 from conftest import (
@@ -258,7 +257,7 @@ def test_standard_linear_f_polynomials(n):
 def test_universal_seed_first_coefficient(a2):
     c = coxeter_element(a2, (0, 1))
     u = universal_seed(a2, c)
-    assert u.gens == ("p1_0", "p1_1", "p1_2", "p2_0", "p2_1")
+    assert u.ring.names[2:] == ("p1_0", "p1_1", "p1_2", "p2_0", "p2_1")
     # One positive power of the generator at the fundamental weight, inverse
     # at its rotation, pairing exponents elsewhere (no earlier neighbors).
     assert u.coeffs[0] == (1, -1, 1, 0, 0)
@@ -293,8 +292,10 @@ def test_corrupted_fundamental_exponent_fails_specialization(spec, monkeypatch):
 
 def test_move_isomorphism_reports(a2):
     c = coxeter_element(a2, (0, 1))
-    rep = verify_move_isomorphism(a2, c, 0)
-    assert rep.passed, rep
+    results = checks.move_isomorphism_checks(a2, c)
+    assert [(r.suite, r.instance, r.passed) for r in results] == [
+        ("moves/principal-isomorphism", "1,2@1", True)
+    ]
     s1 = mutate(principal_seed(a2, c), 0)
     assert s1.coeffs == ((-1, 0), (1, 1))
 
@@ -421,7 +422,7 @@ def test_separation_term_map_matches_evaluation(name):
     hat = [g.ring.monomial(col) for col in _principal_columns(m, c)]
     for rec in records_for(m, c, g):
         gmono = g.ring.monomial(tuple(rec.g.g) + (0,) * m.n)
-        assert _separation_form(m, c, rec, g.ring) == gmono * evaluate(rec.fpoly, hat, g.ring)
+        assert separation_form(m, c, rec, g.ring) == gmono * evaluate(rec.fpoly, hat, g.ring)
 
 
 @st.composite

@@ -112,7 +112,7 @@ def test_symmetrizer_and_coloring_invariants(letter, rank):
     eps = bipartition(m)
     for i, j in m.edges():
         assert eps[i] * eps[j] == -1
-    assert m.is_indecomposable()
+    assert len(m.components) == 1
 
 
 def test_label_parsing():

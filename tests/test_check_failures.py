@@ -6,9 +6,11 @@ patched, exactly the named check fails.  A check that could not fail this
 way would be vacuous.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from coxclusters import cartan_from_text, checks, coxeter_element
+from coxclusters import PiLabel, cartan_from_text, checks, coxeter_element
 from coxclusters.weyl import Root
 
 
@@ -94,3 +96,35 @@ def test_corrupted_input_fails_its_check(spec, suite, corruption, failing, monke
     results = suite(m, c)
     assert {r.suite for r in results if not r.passed} == {failing}
 
+
+def _bump_c_vector(mutate):
+    """``mutate`` whose result has entry k of the c-vector in slot k raised by one."""
+    def bumped(seed, k):
+        out = mutate(seed, k)
+        column = list(out.columns[k])
+        column[out.n + k] += 1
+        return replace(out, columns=out.columns[:k] + (tuple(column),) + out.columns[k + 1:])
+    return bumped
+
+
+# (case id, corruption, the detail: the parts that differ)
+MOVE_CASES = [
+    ("b-matrix", lambda: {"cyclical_move": lambda m, c, s: c}, "b_matrix"),
+    ("source-c-vector", lambda: {"mutate": _bump_c_vector(checks.mutate)}, "source_c_vector"),
+    ("label", lambda: {"extract_record": _then(checks.extract_record,
+                                               lambda r: replace(r, label=PiLabel(0, 0)))},
+     "label"),
+]
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+@pytest.mark.parametrize("corruption, detail",
+                         [pytest.param(*case[1:], id=case[0]) for case in MOVE_CASES])
+def test_move_isomorphism_detail_names_the_part(spec, corruption, detail, monkeypatch):
+    m = cartan_from_text(spec)
+    c = coxeter_element(m, range(m.n))
+    assert all(r.passed and not r.detail for r in checks.move_isomorphism_checks(m, c))
+    for name, fake in corruption().items():
+        monkeypatch.setattr(checks, name, fake)
+    results = checks.move_isomorphism_checks(m, c)
+    assert results and all(not r.passed and r.detail == detail for r in results)

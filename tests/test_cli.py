@@ -1,11 +1,14 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from coxclusters import checks
 from coxclusters.cli import main
 from coxclusters.coxeter import InternalCheckError
 
@@ -167,6 +170,31 @@ def test_internal_error_exit_code(target, exc, monkeypatch, capsys):
     assert main(["info", "--type", "A2", "--coxeter", "1,2"]) == 4
     err = capsys.readouterr().err
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+@pytest.mark.parametrize("command", ["info", "verify", "explore"])
+def test_no_earlier_graph_is_alive_when_the_next_is_explored(command, monkeypatch, capsys):
+    """Over ``--coxeter all`` the held principal run is dropped before the
+    next orientation is explored.  A universal-coefficient walk, which
+    ``verify`` runs after the principal one, sees only the principal graph
+    of its own orientation."""
+    graphs = []
+    real_explore = checks.explore
+
+    def tracked(seed, cap):
+        gc.collect()
+        alive = [ref for ref in graphs if ref() is not None]
+        principal = seed.ring.names[seed.n:] == tuple(f"y{i + 1}" for i in range(seed.n))
+        assert len(alive) == (0 if principal else 1)
+        graph = real_explore(seed, cap=cap)
+        graphs.append(weakref.ref(graph))
+        return graph
+
+    monkeypatch.setattr(checks, "_held_run", {})
+    monkeypatch.setattr(checks, "explore", tracked)
+    assert main([command, "--type", "A2", "--coxeter", "all"]) == 0
+    capsys.readouterr()
+    assert len(graphs) == (4 if command == "verify" else 2)
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):

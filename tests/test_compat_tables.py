@@ -359,7 +359,7 @@ def test_verify_builds_move_graph_once(counted, monkeypatch, capsys):
         checks, "records_for", lambda m, c, g: record_reads.append(c) or real_records(m, c, g)
     )
     coxeter.move_graph.cache_clear()
-    checks.principal_run.cache_clear()
+    checks._held_run.clear()
     assert cli.main(["verify", "--type", "F4", "--coxeter", "all"]) == 0
     capsys.readouterr()
     assert len(builds) == 1

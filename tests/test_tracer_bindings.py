@@ -5,11 +5,14 @@ changing anything under ``perfbench/``."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
+from coxclusters import checks
 from coxclusters.poly import LaurentPoly
 
 SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
@@ -36,3 +39,17 @@ def test_traced_poly_methods_are_defined(spans):
     assert spans.POLY_METHODS
     for meth in spans.POLY_METHODS:
         assert callable(LaurentPoly.__dict__.get(meth)), f"LaurentPoly.{meth}"
+
+
+def test_tracer_times_every_check_suite(spans):
+    """The suites are the public functions of ``checks`` that return a list
+    of ``CheckResult``; the tracer must time each of them and nothing else."""
+    suites = {
+        name
+        for name, fn in inspect.getmembers(checks, inspect.isfunction)
+        if fn.__module__ == checks.__name__
+        and not name.startswith("_")
+        and typing.get_type_hints(fn).get("return") == list[checks.CheckResult]
+    }
+    assert suites == set(spans.SUITES)
+    assert len(spans.SUITES) == len(suites)
