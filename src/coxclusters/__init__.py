@@ -17,7 +17,6 @@ from .weyl import (
     fundamental_weight,
     reflect_root,
     reflect_weight,
-    root_to_weight_coords,
     simple_root,
     weight_as_root,
 )
@@ -48,12 +47,10 @@ from .coxeter import (
     precedes,
     primitive_relations,
     psi_bipartite,
-    psi_move,
     root_compat,
     root_compat_table,
     sources,
     tau,
-    tau_inverse,
     weight_label,
 )
 from .poly import InexactDivision, LaurentPoly, PolyRing

@@ -195,9 +195,6 @@ class Relation:
     pair: tuple[int, int]
     sides: tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]
 
-    def is_primitive(self) -> bool:
-        return any(not vars_ for _, vars_ in self.sides)
-
     def renamed(self, names) -> tuple:
         """(sorted pair, sorted sides) with every variable id v replaced by
         ``names[v]``: the form in which relations are compared across

@@ -36,7 +36,6 @@ from .weyl import (
     apply_word,
     fundamental_weight,
     reflect_root,
-    reflect_weight,
     simple_root,
 )
 
@@ -321,10 +320,6 @@ def tau(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> PiLabel:
     return _data(m, c).rotate(label)
 
 
-def tau_inverse(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> PiLabel:
-    return _data(m, c).rotate(label, backward=True)
-
-
 def compatibility_table(
     m: CartanMatrix, c: CoxeterElement, use_inverse: bool = False
 ) -> tuple[tuple[PiLabel, ...], tuple[tuple[int, ...], ...]]:
@@ -345,11 +340,7 @@ def compatibility_table(
 
 
 def compatibility_degree(
-    m: CartanMatrix,
-    c: CoxeterElement,
-    gamma: PiLabel,
-    delta: PiLabel,
-    use_inverse: bool = False,
+    m: CartanMatrix, c: CoxeterElement, gamma: PiLabel, delta: PiLabel
 ) -> int:
     """Nonnegative pairing of two labels: one entry of :func:`compatibility_table`.
 
@@ -357,8 +348,7 @@ def compatibility_degree(
     label pairs reads the table's rows instead.
     """
     data = _data(m, c)
-    table = data.backward_compat if use_inverse else data.forward_compat
-    return table[data.index[gamma]][data.index[delta]]
+    return data.forward_compat[data.index[gamma]][data.index[delta]]
 
 
 def clusters(m: CartanMatrix, c: CoxeterElement) -> tuple[tuple[PiLabel, ...], ...]:
@@ -453,27 +443,6 @@ def move_graph(m: CartanMatrix) -> MoveGraph:
 
 def all_coxeter_elements(m: CartanMatrix) -> tuple[CoxeterElement, ...]:
     return move_graph(m).elements
-
-
-def psi_move(
-    m: CartanMatrix,
-    c: CoxeterElement,
-    ctilde: CoxeterElement,
-    label: PiLabel,
-    source: int,
-) -> PiLabel:
-    """Bijection from the label set of ctilde onto that of c for one source rotation.
-
-    Sends minus the rotated fundamental weight to that fundamental weight and
-    applies the rotated reflection everywhere else; intertwines the two
-    rotation permutations.
-    """
-    if cyclical_move(m, c, source) != ctilde:
-        raise InvalidMove(f"rotating {source} does not relate the two elements")
-    w = label_weight(m, ctilde, label)
-    if w == -fundamental_weight(m.n, source):
-        return weight_label(m, c, fundamental_weight(m.n, source))
-    return weight_label(m, c, reflect_weight(m, source, w))
 
 
 # -- bipartite picture ------------------------------------------------------

@@ -267,9 +267,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._t
 
-    def is_one(self) -> bool:
-        return self._t == {self.ring.layout.one: 1}
-
     def constant_coefficient(self) -> int:
         return self._t.get(self.ring.layout.one, 0)
 

@@ -115,11 +115,6 @@ def apply_word(m: CartanMatrix, word: Sequence[int], x):
     return Weight(tuple(g))
 
 
-def root_to_weight_coords(m: CartanMatrix, r: Root) -> Weight:
-    """Express a root-lattice vector in weight coordinates (column map of the Cartan matrix)."""
-    return Weight(tuple(sum(m.a[k][j] * r.d[j] for j in range(m.n)) for k in range(m.n)))
-
-
 @lru_cache(maxsize=None)
 def _cartan_adjugate(m: CartanMatrix) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(det, det * inverse) with integer entries, for divisibility tests.

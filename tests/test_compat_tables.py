@@ -53,11 +53,11 @@ def pair_symmetry_at_zero(m, c):
 
 
 def pair_reduction_agreement(m, c):
-    labels = _labels(m, c)
+    labels, backward = compatibility_table(m, c, use_inverse=True)
     return all(
-        compatibility_degree(m, c, a, b) == compatibility_degree(m, c, a, b, use_inverse=True)
-        for a in labels
-        for b in labels
+        compatibility_degree(m, c, a, b) == value
+        for a, row in zip(labels, backward)
+        for b, value in zip(labels, row)
     )
 
 

@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -30,20 +31,37 @@ from coxclusters import (
     pi_set,
     primitive_relations,
     psi_bipartite,
-    psi_move,
     reflect_root,
     reflect_weight,
     root_compat,
     simple_root,
     sources,
     tau,
-    tau_inverse,
     weight_as_root,
     weight_label,
 )
 from coxclusters import checks, coxeter
 from coxclusters.coxeter import MoveGraph, all_roots
 from conftest import REFERENCE_TYPES, indecomposable_types, weyl_degrees
+
+
+@lru_cache(maxsize=None)
+def tau_inverse(m, c, label):
+    """The preimage of ``label`` under tau, searched over all of pi_set: it
+    shares no code with the backward rotation of the compatibility tables."""
+    return next(lab for lab, _ in pi_set(m, c) if tau(m, c, lab) == label)
+
+
+def psi_move(m, c, ctilde, label, source):
+    """Bijection from the labels of ctilde onto those of c for one source
+    rotation: -omega_source goes to omega_source, any other weight w to
+    s_source(w).  It intertwines the two rotation permutations."""
+    if cyclical_move(m, c, source) != ctilde:
+        raise InvalidMove(f"rotating {source} does not relate the two elements")
+    w = label_weight(m, ctilde, label)
+    if w == -fundamental_weight(m.n, source):
+        return weight_label(m, c, fundamental_weight(m.n, source))
+    return weight_label(m, c, reflect_weight(m, source, w))
 
 
 @pytest.fixture
@@ -332,7 +350,8 @@ def test_root_compat_negative_simple(a2):
 def _rotation_compat(m, c, gamma, delta, use_inverse):
     """The per-pair reduction: rotate both labels with tau (tau^-1) until the
     first is a fundamental weight (i, 0), then read alpha_i in the second's
-    denominator."""
+    denominator.  The tau^-1 here is the test-side inverse of tau, so with
+    ``use_inverse`` this is an independent reference for the backward table."""
     step = tau_inverse if use_inverse else tau
     for _ in range(len(pi_set(m, c)) + 1):
         if gamma.m == 0:
@@ -355,12 +374,11 @@ _TABLE_IDS = [f"{s}-{''.join(str(i + 1) for i in w)}" for s, w in _TABLE_CASES]
 def test_compat_table_matches_rotation(spec, word):
     m = cartan_from_text(spec)
     c = coxeter_element(m, word)
-    labels = [lab for lab, _ in pi_set(m, c)]
     for use_inverse in (False, True):
-        for a in labels:
-            for b in labels:
-                expect = _rotation_compat(m, c, a, b, use_inverse)
-                assert compatibility_degree(m, c, a, b, use_inverse) == expect, (a, b)
+        labels, rows = compatibility_table(m, c, use_inverse)
+        for a, row in zip(labels, rows):
+            for b, value in zip(labels, row):
+                assert value == _rotation_compat(m, c, a, b, use_inverse), (a, b)
 
 
 def _half_reflection_walk(m, alpha, beta, eps):

@@ -1,17 +1,18 @@
-"""Source hygiene without a linter: unused imports, unreferenced private
-functions and defaults no call overrides in ``src/coxclusters``, found with
-the standard library's ``ast``.
+"""Source hygiene without a linter: unused imports, unread definitions and
+defaults no call overrides in ``src/coxclusters``, found with the standard
+library's ``ast``.
 
 An import counts as used when its bound name appears as a name anywhere in
 the module, string annotations included.  ``__future__`` imports and the
-re-exports of ``__init__.py`` are exempt.  A module-level function whose
-name starts with one underscore, and every method of a module-level class
-other than a dunder, properties and cached properties included, must be
-referenced somewhere in ``src/`` or ``tests/`` outside its own body.  A
-parameter with a default must be passed, by position or by keyword, by
-some call in ``src/``, ``tests/`` or ``perfbench/``, calls matched by the
-called name alone: a default that no call overrides belongs in the body as
-a constant.
+re-exports of ``__init__.py`` are exempt.  Every module-level function and
+class, and every method but a dunder, must be read outside its own body by
+``src/`` (not ``__init__.py``) or by ``perfbench/``, whose span recorder
+also binds functions by name strings.  The tests do not count: what only a
+test reads is an oracle and lives in the tests, save the public oracles of
+:data:`ORACLES`, which stay API for users to check the engine against.  A
+parameter with a default must be passed, by position or by keyword, by some
+call in ``src/`` or ``perfbench/``, calls matched by the called name alone:
+a default that no such call overrides belongs in the body as a constant.
 """
 
 import ast
@@ -66,46 +67,59 @@ def unused_imports(tree):
     return sorted((line, name) for name, line in bound if name not in used)
 
 
-def _references(tree):
-    """Counter of names and attribute names read in a tree."""
+# Public oracles that no command reads, by (module, name).
+ORACLES = {
+    ("coxeter.py", "tau"),  # the label rotation, against the compatibility tables
+    ("coxeter.py", "label_weight"),  # the weight of a label, inverse of weight_label
+    ("weyl.py", "reflect_weight"),  # one simple reflection, against _reflect_word
+    ("algebra.py", "relations"),  # ExchangeGraph.relations, pinned by golden_digests.json
+}
+
+
+def _reads(tree, strings=False):
+    """Counter of names and attribute names read in a tree and, with
+    ``strings``, of string constants."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
             out[node.attr] += 1
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
     return out
 
 
-def _is_private(name):
-    return name.startswith("_") and not name.startswith("__")
-
-
-def _guarded(tree):
-    """The module-level private functions of a module, and every method of
-    its module-level classes but the dunders."""
+def _definitions(tree):
+    """The module-level functions and classes of a module, and every method
+    of its classes but the dunders."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and _is_private(node.name):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node
-        elif isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
                     yield member
 
 
-def unreferenced_functions(modules, others):
-    """(module, name) of each function of ``modules`` (a dict of name to
-    tree) named by :func:`_guarded` that no tree references outside its own
-    body; ``others`` are further trees, such as the tests, that may
-    reference it."""
+def unread_definitions(trees, allowed=()):
+    """(module, name) of each definition (:func:`_definitions`) of a tree
+    under ``src/`` that no reader reads outside its own body, the
+    ``allowed`` pairs aside.  ``trees`` maps paths relative to the
+    repository root to trees; the readers are those under ``src/`` but
+    ``__init__.py`` and, strings included, those under ``perfbench/``."""
     total = Counter()
-    for tree in [*modules.values(), *others]:
-        total += _references(tree)
+    for path, tree in trees.items():
+        if path.parts[0] == "perfbench":
+            total += _reads(tree, strings=True)
+        elif path.parts[0] == "src" and path.name != "__init__.py":
+            total += _reads(tree)
     return [
-        (mod, node.name)
-        for mod, tree in modules.items()
-        for node in _guarded(tree)
-        if total[node.name] == _references(node)[node.name]
+        (path.name, node.name)
+        for path, tree in trees.items()
+        if path.parts[0] == "src"
+        for node in _definitions(tree)
+        if total[node.name] == _reads(node)[node.name] and (path.name, node.name) not in allowed
     ]
 
 
@@ -157,14 +171,14 @@ def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
 
 
-def test_every_private_function_is_referenced():
-    modules = {p.name: _parse(p) for p in SRC}
-    assert unreferenced_functions(modules, [_parse(p) for p in TESTS]) == []
+def test_every_definition_is_read():
+    trees = {p.relative_to(ROOT): _parse(p) for p in SRC + TESTS + BENCH}
+    assert unread_definitions(trees, ORACLES) == []
 
 
 def test_every_default_is_passed_somewhere():
     modules = {p.name: _parse(p) for p in SRC}
-    assert unpassed_defaults(modules, [_parse(p) for p in TESTS + BENCH]) == []
+    assert unpassed_defaults(modules, [_parse(p) for p in BENCH]) == []
 
 
 def test_unused_import_guard_is_not_vacuous():
@@ -185,10 +199,9 @@ def test_private_function_guard_is_not_vacuous():
         "def _tested(): pass\n"
         "def public(): return _used()\n"
     )
-    tests = ast.parse("import lib\nlib._tested()\n")
-    assert unreferenced_functions({"lib.py": lib}, [tests]) == [
-        ("lib.py", "_only_recursive")
-    ]
+    user = ast.parse("import lib\nlib._tested()\nlib.public()\n")
+    trees = {Path("src/lib.py"): lib, Path("src/user.py"): user}
+    assert unread_definitions(trees) == [("lib.py", "_only_recursive")]
 
 
 def test_private_method_guard_is_not_vacuous():
@@ -208,13 +221,41 @@ def test_private_method_guard_is_not_vacuous():
         "    def tested(self): return 2\n"
         "    def __len__(self): return 0\n"
     )
-    tests = ast.parse("import lib\nc = lib.C()\nc.tested\nc.called()\n")
-    assert unreferenced_functions({"lib.py": lib}, [tests]) == [
+    user = ast.parse("import lib\nc = lib.C()\nc.tested\nc.called()\n")
+    assert unread_definitions({Path("src/lib.py"): lib, Path("src/user.py"): user}) == [
         ("lib.py", "_only_recursive"),
         ("lib.py", "public"),
         ("lib.py", "size"),
         ("lib.py", "unread"),
     ]
+
+
+def test_reader_guard_is_not_vacuous():
+    """Reads by the tests and by ``__init__.py`` do not count; a string
+    under ``perfbench/`` does, and so does the allowlist."""
+    lib = ast.parse(
+        "def used(): pass\n"
+        "def tested(): pass\n"
+        "def exported(): pass\n"
+        "def bound_by_string(): pass\n"
+        "def oracle(): pass\n"
+        "class Tested: pass\n"
+    )
+    trees = {
+        Path("src/pkg/lib.py"): lib,
+        Path("src/pkg/__init__.py"): ast.parse("from . import lib\nALL = (lib.exported,)\n"),
+        Path("src/pkg/cli.py"): ast.parse("from . import lib\nlib.used()\n"),
+        Path("tests/test_lib.py"): ast.parse(
+            "from pkg import lib\nlib.tested(); lib.Tested(); lib.oracle()\n"
+        ),
+        Path("perfbench/spans.py"): ast.parse("FUNCTIONS = {'lib': ('bound_by_string',)}\n"),
+    }
+    assert unread_definitions(trees, {("lib.py", "oracle")}) == [
+        ("lib.py", "tested"),
+        ("lib.py", "exported"),
+        ("lib.py", "Tested"),
+    ]
+    assert ("lib.py", "oracle") in unread_definitions(trees)
 
 
 def test_unpassed_default_guard_is_not_vacuous():

@@ -17,7 +17,7 @@ def all_diagonals(n):
     for a in range(1, n + 4):
         for b in range(a + 2, n + 4):
             d = typea.Diagonal(a, b)
-            if not d.is_boundary(n):
+            if not typea_suites.is_boundary(d, n):
                 out.append(d)
     return tuple(out)
 
@@ -28,16 +28,16 @@ def test_interval_minor_basics():
         typea.matrix_ring(2).gen(0) * typea.matrix_ring(2).gen(1)
         - typea.matrix_ring(2).gen(3)
     )
-    assert typea.interval_minor(2, 0, 5).is_one()
-    assert typea.interval_minor(2, 3, 2).is_one()
+    assert typea.interval_minor(2, 0, 5) == typea.matrix_ring(2).one()
+    assert typea.interval_minor(2, 3, 2) == typea.matrix_ring(2).one()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_minor_recurrence_against_cofactor_oracle(n):
-    mat = typea.tridiagonal(n)
+    mat = typea_suites.tridiagonal(n)
     for i in range(1, n + 2):
         for j in range(i, n + 2):
-            assert typea.interval_minor(n, i, j) == typea.generic_minor(
+            assert typea.interval_minor(n, i, j) == typea_suites.generic_minor(
                 mat, range(i, j + 1), range(i, j + 1)
             )
 
@@ -85,15 +85,15 @@ def test_specific_relation_n2():
 
 def test_offset_minor_products():
     n = 4
-    mat = typea.tridiagonal(n)
+    mat = typea_suites.tridiagonal(n)
     ring = typea.matrix_ring(n)
     for k in range(1, n + 1):
-        upper = typea.generic_minor(mat, range(1, k + 1), range(2, k + 2))
+        upper = typea_suites.generic_minor(mat, range(1, k + 1), range(2, k + 2))
         expect = ring.one()
         for t in range(k):
             expect = expect * ring.gen(n + 1 + t)
         assert upper == expect
-        assert typea.generic_minor(mat, range(2, k + 2), range(1, k + 1)).is_one()
+        assert typea_suites.generic_minor(mat, range(2, k + 2), range(1, k + 1)) == ring.one()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -101,7 +101,7 @@ def test_fmatrix_is_tridiagonal(n):
     """y_1(1)..y_n(1) x_n(t_n)..x_1(t_1) is tridiagonal: diagonal
     (1, 1 + t_1, .., 1 + t_n), superdiagonal t_1 .. t_n, subdiagonal 1."""
     ring = _fpoly_ring(n)
-    prod = typea._fmatrix(n)
+    prod = typea_suites._fmatrix(n)
     for r in range(n + 1):
         for c in range(n + 1):
             if r == c:
@@ -122,23 +122,25 @@ def test_closed_form_builds_no_matrix(monkeypatch):
     def fail(n):
         raise AssertionError("f_poly_closed_form built the matrix product")
 
-    monkeypatch.setattr(typea, "_fmatrix", fail)
+    monkeypatch.setattr(typea_suites, "_fmatrix", fail)
     ring = _fpoly_ring(3)
     t1, t2, t3 = (ring.gen(i) for i in range(3))
-    assert typea.f_poly_closed_form(3, PiLabel(1, 0)).is_one()
-    assert typea.f_poly_closed_form(3, PiLabel(0, 1)) == ring.one() + t1
-    assert typea.f_poly_closed_form(3, PiLabel(2, 1)) == ring.one() + t1 + t1 * t2 + t1 * t2 * t3
-    assert typea.f_poly_closed_form(3, PiLabel(1, 2)) == ring.one() + t2 + t2 * t3
+    assert typea_suites.f_poly_closed_form(3, PiLabel(1, 0)) == ring.one()
+    assert typea_suites.f_poly_closed_form(3, PiLabel(0, 1)) == ring.one() + t1
+    assert typea_suites.f_poly_closed_form(3, PiLabel(2, 1)) == (
+        ring.one() + t1 + t1 * t2 + t1 * t2 * t3
+    )
+    assert typea_suites.f_poly_closed_form(3, PiLabel(1, 2)) == ring.one() + t2 + t2 * t3
     with pytest.raises(AssertionError):
-        typea.f_poly_via_matrix(3, PiLabel(0, 1))
+        typea_suites.f_poly_via_matrix(3, PiLabel(0, 1))
 
 
 def test_f_poly_via_matrix_values():
-    assert str(typea.f_poly_via_matrix(2, PiLabel(0, 1))) == "1+t1"
-    assert typea.f_poly_via_matrix(2, PiLabel(0, 0)).is_one()
-    assert typea.f_poly_via_matrix(3, PiLabel(2, 0)).is_one()
+    assert str(typea_suites.f_poly_via_matrix(2, PiLabel(0, 1))) == "1+t1"
+    assert typea_suites.f_poly_via_matrix(2, PiLabel(0, 0)) == _fpoly_ring(2).one()
+    assert typea_suites.f_poly_via_matrix(3, PiLabel(2, 0)) == _fpoly_ring(3).one()
     with pytest.raises(ValueError):
-        typea.f_poly_via_matrix(2, PiLabel(0, 3))
+        typea_suites.f_poly_via_matrix(2, PiLabel(0, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -148,21 +150,21 @@ def test_f_poly_matrix_equals_closed_form(n):
     from coxclusters import pi_set
 
     for lab, _ in pi_set(m, c):
-        assert typea.f_poly_via_matrix(n, lab) == typea.f_poly_closed_form(n, lab)
+        assert typea_suites.f_poly_via_matrix(n, lab) == typea_suites.f_poly_closed_form(n, lab)
 
 
 def test_diagonal_bijection():
-    assert typea.diagonal_of_label(2, PiLabel(0, 0)) == typea.Diagonal(1, 3)
+    assert typea_suites.diagonal_of_label(2, PiLabel(0, 0)) == typea.Diagonal(1, 3)
     for n in (2, 3, 4):
         for d in all_diagonals(n):
-            assert typea.diagonal_of_label(n, typea.label_of_diagonal(n, d)) == d
+            assert typea_suites.diagonal_of_label(n, typea_suites.label_of_diagonal(n, d)) == d
     with pytest.raises(ValueError):
-        typea.label_of_diagonal(3, typea.Diagonal(1, 2))
+        typea_suites.label_of_diagonal(3, typea.Diagonal(1, 2))
 
 
 def test_initial_cluster_is_fan_at_first_vertex():
     n = 3
-    fan = {typea.diagonal_of_label(n, PiLabel(i, 0)) for i in range(n)}
+    fan = {typea_suites.diagonal_of_label(n, PiLabel(i, 0)) for i in range(n)}
     assert fan == {typea.Diagonal(1, b) for b in range(3, n + 3)}
 
 

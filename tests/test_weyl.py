@@ -17,12 +17,16 @@ from coxclusters import (
     fundamental_weight,
     reflect_root,
     reflect_weight,
-    root_to_weight_coords,
     simple_root,
     weight_as_root,
 )
 from coxclusters.weyl import _cartan_adjugate, _reflect_word
 from conftest import REFERENCE_TYPES, indecomposable_types
+
+
+def root_to_weight_coords(m, r):
+    """Express a root-lattice vector in weight coordinates (column map of the Cartan matrix)."""
+    return Weight(tuple(sum(m.a[k][j] * r.d[j] for j in range(m.n)) for k in range(m.n)))
 
 
 def test_reflection_on_adjacent_root(a2):

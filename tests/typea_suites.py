@@ -1,17 +1,137 @@
-"""The type-A check suites: the tridiagonal-minor realization and the
-strip rule for universal coefficients, each against the engine.
+"""The type-A oracles and check suites.
 
-They return :class:`coxclusters.checks.CheckResult` lists like the suites
-of :mod:`coxclusters.checks`, under the same ``typea/...`` names, and only
-the tests call them.
+The oracles are the paths :mod:`coxclusters.typea` does not take: the
+tridiagonal matrix and its minors by cofactor expansion, the F-polynomials
+as minors of a product of elementary matrices and in closed form, and the
+polygon naming of the variables by diagonals of the (n+3)-gon.
+
+The suites check the tridiagonal-minor realization and the strip rule for
+universal coefficients against the engine.  They return
+:class:`coxclusters.checks.CheckResult` lists like the suites of
+:mod:`coxclusters.checks`, under the same ``typea/...`` names, and only the
+tests call them.
 """
 
+from functools import lru_cache
+
 from coxclusters import typea
-from coxclusters.algebra import explore, label_variables, universal_seed
+from coxclusters.algebra import _fpoly_ring, explore, label_variables, universal_seed
 from coxclusters.cartan import cartan_from_label
 from coxclusters.checks import CheckResult, _result, principal_run
-from coxclusters.coxeter import coxeter_element, pi_set
+from coxclusters.coxeter import PiLabel, coxeter_element, pi_set
+from coxclusters.typea import Diagonal, matrix_ring
 from conftest import evaluate
+
+
+def tridiagonal(n):
+    """Rows of the symbolic (n+1)x(n+1) tridiagonal matrix over
+    :func:`coxclusters.typea.matrix_ring`: diagonal v_i, superdiagonal y_i,
+    subdiagonal 1."""
+    ring, size = matrix_ring(n), n + 1
+
+    def entry(r, c):
+        if r == c:
+            return ring.gen(r)
+        if c == r + 1:
+            return ring.gen(size + r)
+        return ring.one() if r == c + 1 else ring.zero()
+
+    return tuple(tuple(entry(r, c) for c in range(size)) for r in range(size))
+
+
+def determinant(rows):
+    """Cofactor expansion along the first row, skipping zero entries."""
+    first, rest = rows[0], rows[1:]
+    if not rest:
+        return first[0]
+    total = first[0].ring.zero()
+    for c, entry in enumerate(first):
+        if not entry.is_zero():
+            piece = entry * determinant([row[:c] + row[c + 1:] for row in rest])
+            total = total + piece if c % 2 == 0 else total - piece
+    return total
+
+
+def generic_minor(mat, rows, cols):
+    """Minor of the matrix with rows ``mat`` on the given 1-based row and column sets."""
+    return determinant([tuple(mat[r - 1][c - 1] for c in cols) for r in rows])
+
+
+@lru_cache(maxsize=None)
+def _fmatrix(n):
+    """Product of the lower unit elementaries at 1 and the upper ones at t_n..t_1.
+
+    Each factor is the identity plus v at the 0-based position (r, c), so
+    multiplying the product by it on the right is the column operation
+    column c += v * column r.  The factors are, in order, the lower ones
+    (r, c) = (i + 1, i) with v = 1 for i = 0 .. n-1, then the upper ones
+    (r, c) = (i, i + 1) with v = t_{i+1} for i = n-1 .. 0.  The rows are
+    returned, with entries in the engine's F-polynomial ring.
+    """
+    ring = _fpoly_ring(n)
+    size = n + 1
+    prod = [[ring.one() if a == b else ring.zero() for b in range(size)] for a in range(size)]
+    steps = [(i + 1, i, ring.one()) for i in range(n)]
+    steps += [(i, i + 1, ring.gen(i)) for i in reversed(range(n))]
+    for r, c, v in steps:
+        for row in prod:
+            row[c] = row[c] + v * row[r]
+    return prod
+
+
+def f_poly_via_matrix(n, label):
+    """F-polynomial of the variable labelled (i, m) for the linear order, as a minor.
+
+    The label (i, m) corresponds to the interval [m+1, m+i+1], i.e. the minor
+    on rows and columns m+1 .. m+i+1 of the symbolic product matrix.
+    """
+    k = label.i + 1
+    mshift = label.m
+    if not (1 <= k <= n and 0 <= mshift <= n + 1 - k):
+        raise ValueError(f"label ({label.i}, {label.m}) out of range for rank {n}")
+    rows = range(mshift + 1, mshift + k + 1)
+    return generic_minor(_fmatrix(n), rows, rows)
+
+
+def f_poly_closed_form(n, label):
+    """1 + t_m + t_m t_{m+1} + ... + t_m .. t_{m+k-1}, empty sum for the initial variables."""
+    ring = _fpoly_ring(n)
+    total = ring.one()
+    if label.m == 0:
+        return total
+    exps = [0] * n
+    for t in range(label.m - 1, label.m + label.i):
+        exps[t] += 1
+        total = total + ring.monomial(tuple(exps))
+    return total
+
+
+def is_boundary(d, n):
+    """Whether the vertex pair ``d`` is a side of the (n+3)-gon, a unit variable."""
+    return d.b - d.a == 1 or (d.a, d.b) == (1, n + 3)
+
+
+def diagonal_of_label(n, label):
+    """Interval [m+1, m+k] maps to the diagonal cutting off its vertex range."""
+    return Diagonal(label.m + 1, label.m + label.i + 3)
+
+
+def label_of_diagonal(n, diag):
+    if is_boundary(diag, n):
+        raise ValueError(f"{diag} is a boundary side, not a diagonal")
+    k = diag.b - diag.a - 1
+    m = diag.a - 1
+    if not (1 <= k <= n and 0 <= m <= n + 1 - k):
+        raise ValueError(f"{diag} is not a diagonal of the {n + 3}-gon")
+    return PiLabel(k - 1, m)
+
+
+def crossing_quadruple(d1, d2):
+    """The cyclically ordered quadruple when the two diagonals cross, else None."""
+    a, b = sorted((d1, d2))
+    if a.a < b.a < a.b < b.b:
+        return (a.a, b.a, a.b, b.b)
+    return None
 
 
 def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
@@ -29,24 +149,24 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
         )
     )
 
-    mat = typea.tridiagonal(n)
+    mat = tridiagonal(n)
     minor_ok = all(
         typea.interval_minor(n, i, j)
-        == typea.generic_minor(mat, range(i, j + 1), range(i, j + 1))
+        == generic_minor(mat, range(i, j + 1), range(i, j + 1))
         for i in range(1, n + 2)
         for j in range(i, n + 2)
     )
     out.append(_result("typea/minor-recurrence-vs-determinant", name, minor_ok))
 
-    ring = typea.matrix_ring(n)
+    ring = matrix_ring(n)
     prod_ok = True
     for k in range(1, n + 1):
-        upper = typea.generic_minor(mat, range(1, k + 1), range(2, k + 2))
-        lower = typea.generic_minor(mat, range(2, k + 2), range(1, k + 1))
+        upper = generic_minor(mat, range(1, k + 1), range(2, k + 2))
+        lower = generic_minor(mat, range(2, k + 2), range(1, k + 1))
         ymono = ring.one()
         for t in range(k):
             ymono = ymono * ring.gen(n + 1 + t)
-        if upper != ymono or not lower.is_one():
+        if upper != ymono or lower != ring.one():
             prod_ok = False
     out.append(_result("typea/offset-minor-products", name, prod_ok))
 
@@ -57,8 +177,8 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
     fm_ok = True
     fc_ok = True
     for r in records:
-        via_matrix = typea.f_poly_via_matrix(n, r.label)
-        if via_matrix != typea.f_poly_closed_form(n, r.label):
+        via_matrix = f_poly_via_matrix(n, r.label)
+        if via_matrix != f_poly_closed_form(n, r.label):
             fc_ok = False
         if via_matrix.key() != r.fpoly.key():
             fm_ok = False
@@ -70,7 +190,6 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
     engine_ring = graph.ring
     values = []
     for k in range(1, n + 2):
-        num_parts = []
         if k == 1:
             values.append(engine_ring.gen(0))
             continue
@@ -93,9 +212,9 @@ def typea_checks(n: int, engine_cap: int = 100_000) -> list[CheckResult]:
 
     labels_by_diag = {}
     for r in records:
-        labels_by_diag[typea.diagonal_of_label(n, r.label)] = r.label
+        labels_by_diag[diagonal_of_label(n, r.label)] = r.label
     bij_ok = len(labels_by_diag) == len(records) and all(
-        typea.label_of_diagonal(n, d) == lab for d, lab in labels_by_diag.items()
+        label_of_diagonal(n, d) == lab for d, lab in labels_by_diag.items()
     )
     out.append(_result("typea/diagonal-bijection", name, bij_ok))
     return out
@@ -110,20 +229,20 @@ def typea_universal_coefficients(n: int, cap: int = 100_000) -> list[CheckResult
     graph = explore(universal_seed(m, c), cap=cap)
     labels = label_variables(m, c, graph)
     gen_labels = [lab for lab, _ in pi_set(m, c)]
-    gen_of_diag = {typea.diagonal_of_label(n, lab): pos for pos, lab in enumerate(gen_labels)}
-    diag_of_var = [typea.diagonal_of_label(n, lab) for lab in labels]
+    gen_of_diag = {diagonal_of_label(n, lab): pos for pos, lab in enumerate(gen_labels)}
+    diag_of_var = [diagonal_of_label(n, lab) for lab in labels]
 
     def strip_side(coef_diags, var_diags):
         coef = [0] * len(gen_labels)
         for d in coef_diags:
             coef[gen_of_diag[d]] += 1
-        return tuple(coef), tuple(sorted((d, 1) for d in var_diags if not d.is_boundary(n)))
+        return tuple(coef), tuple(sorted((d, 1) for d in var_diags if not is_boundary(d, n)))
 
     ok = True
     spec_ok = True
     for rel in graph.relations:
         (d1, d2), sides = rel.renamed(diag_of_var)
-        quad = typea.crossing_quadruple(d1, d2)
+        quad = crossing_quadruple(d1, d2)
         if quad is None:
             ok = False
             continue
@@ -131,8 +250,8 @@ def typea_universal_coefficients(n: int, cap: int = 100_000) -> list[CheckResult
         plus, minus = typea.universal_coeff_typea(n, quad)
         expected = sorted(
             (
-                strip_side(plus, (typea.Diagonal(i, j), typea.Diagonal(k, l))),
-                strip_side(minus, (typea.Diagonal(i, l), typea.Diagonal(j, k))),
+                strip_side(plus, (Diagonal(i, j), Diagonal(k, l))),
+                strip_side(minus, (Diagonal(i, l), Diagonal(j, k))),
             )
         )
         if sides != tuple(expected):
