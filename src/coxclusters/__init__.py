@@ -31,7 +31,6 @@ from .coxeter import (
     b_matrix,
     beta_roots,
     bipartite_element,
-    bipartition_of,
     clusters,
     compatibility_degree,
     compatibility_table,
@@ -46,7 +45,6 @@ from .coxeter import (
     pi_set,
     precedes,
     primitive_relations,
-    psi_bipartite,
     root_compat,
     root_compat_table,
     sources,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 from .cartan import CartanMatrix
 from .coxeter import (
@@ -284,12 +283,10 @@ def relabel_seed(names, columns):
     columns of B~ and the first n entries of each permuted to match:
     (sorted names, columns)."""
     n = len(names)
-    if n == 1:  # itemgetter of one index returns the item, not a tuple
-        return tuple(names), tuple(columns)
     order = sorted(range(n), key=names.__getitem__)
-    pick = itemgetter(*order)
-    pick_entries = itemgetter(*order, *range(n, len(columns[0])))
-    return pick(names), tuple(map(pick_entries, pick(columns)))
+    rows = list(zip(*columns))  # the rows of B~; the first n follow the slots
+    permuted = list(zip(*map(rows.__getitem__, order), *rows[n:]))
+    return tuple(map(names.__getitem__, order)), tuple(map(permuted.__getitem__, order))
 
 
 def explore(seed: Seed, cap: int = DEFAULT_CAP) -> ExchangeGraph:

@@ -1,7 +1,9 @@
 """Invariant suites shared by the command-line verifier and the test suite.
 
 Every suite returns a list of :class:`CheckResult`; a failing result
-carries enough detail to locate the instance.  All checks are exact.
+carries enough detail to locate the instance.  All checks are exact.  The
+two suites that read the engine's principal run of an orientation take it
+as an argument: the caller computes it once with :func:`principal_run`.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import (
-    DEFAULT_CAP,
     ClusterVariableRecord,
     ExchangeGraph,
     explore,
@@ -45,7 +46,6 @@ from .coxeter import (
     pi_set,
     precedes,
     primitive_relations,
-    psi_bipartite,
     root_compat_table,
     sources,
 )
@@ -283,7 +283,7 @@ def bipartite_compat_oracle(m: CartanMatrix) -> list[CheckResult]:
     labels, rows = compatibility_table(m, t)
     roots, root_rows = root_compat_table(m)
     root_index = {r.d: k for k, r in enumerate(roots)}
-    image = [root_index[psi_bipartite(m, t, lab).d] for lab in labels]
+    image = [root_index[denominator(m, t, lab).d] for lab in labels]
     bij_ok = len(set(image)) == len(labels)
     ok = bij_ok and all(
         row == tuple(root_rows[image[a]][b] for b in image) for a, row in enumerate(rows)
@@ -307,37 +307,27 @@ def shares_cluster_with_initial(cluster_sets) -> set:
     return {(lab, ini.i) for cs in cluster_sets for ini in cs if ini.m == 0 for lab in cs}
 
 
-_held_run: dict = {}  # (m, c, cap) -> principal_run's result; at most one entry
+PrincipalRun = tuple[ExchangeGraph, tuple[ClusterVariableRecord, ...]]
 
 
-def principal_run(
-    m: CartanMatrix, c: CoxeterElement, cap: int
-) -> tuple[ExchangeGraph, tuple[ClusterVariableRecord, ...]]:
-    """The principal exchange graph and its records in variable-id order,
-    shared by the suites of one orientation and by the CLI's reports.
-
-    Only the last instance is held, and it is dropped before the next one
-    is explored: ``verify`` runs the suites of one orientation back to
-    back, ``info`` and ``explore`` report one orientation at a time, and
-    holding the last graph while the next is explored would hold two.
-    """
-    key = m, c, cap
-    if key not in _held_run:
-        _held_run.clear()
-        graph = explore(principal_seed(m, c), cap=cap)
-        _held_run[key] = graph, records_for(m, c, graph)
-    return _held_run[key]
+def principal_run(m: CartanMatrix, c: CoxeterElement, cap: int) -> PrincipalRun:
+    """The principal exchange graph of ``c`` and its records in variable-id
+    order: the run that :func:`engine_against_formulas` and
+    :func:`universal_checks` take and the CLI's reports read."""
+    graph = explore(principal_seed(m, c), cap=cap)
+    return graph, records_for(m, c, graph)
 
 
 def engine_against_formulas(
-    m: CartanMatrix, c: CoxeterElement, cap: int = DEFAULT_CAP
+    m: CartanMatrix, c: CoxeterElement, run: PrincipalRun
 ) -> list[CheckResult]:
-    """Run the mutation engine and compare every canonical datum with its
-    closed form: variable counts, g-vectors, denominators, constant terms,
-    primitive relations, cluster families, and the separation identity."""
+    """Compare every canonical datum of the principal ``run`` of the mutation
+    engine (:func:`principal_run`) with its closed form: variable counts,
+    g-vectors, denominators, constant terms, primitive relations, cluster
+    families, and the separation identity."""
     name = _fmt_c(c)
     out = []
-    graph, records = principal_run(m, c, cap)
+    graph, records = run
     h, _ = h_vector(m, c)
     labelled = pi_set(m, c)
 
@@ -440,10 +430,11 @@ def move_isomorphism_checks(m: CartanMatrix, c: CoxeterElement) -> list[CheckRes
 
 
 def universal_checks(
-    m: CartanMatrix, c: CoxeterElement, cap: int = DEFAULT_CAP
+    m: CartanMatrix, c: CoxeterElement, run: PrincipalRun, cap: int
 ) -> list[CheckResult]:
     """Explore with one generator per labelled weight and compare the harvested
-    primitive relations and the specialized seeds against the principal run.
+    primitive relations and the specialized seeds against the principal
+    ``run`` (:func:`principal_run`).
 
     Specializing to principal coefficients sends the generator of each label
     (i, 0) to y_i and every other generator to 1; on B~ that keeps the rows
@@ -460,7 +451,7 @@ def universal_checks(
 
     order = [lab for lab, _ in pi_set(m, c)]
     project = itemgetter(*range(m.n), *(m.n + order.index(PiLabel(i, 0)) for i in range(m.n)))
-    pgraph, precs = principal_run(m, c, cap)
+    pgraph, precs = run
     principal_seeds = sorted(
         relabel_seed([precs[v].label for v in s.var_ids], s.columns) for s in pgraph.seeds
     )

@@ -154,9 +154,20 @@ def _record_json(rec) -> dict:
     }
 
 
-def _info_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
+def _report_each(args, document) -> int:
+    """Emit ``document(args, m, c, graph, records)`` for each element of
+    ``--coxeter``, from its principal run; a lone document is not wrapped in
+    a list.  Each run is dropped before the next one is explored."""
+    m = _load_cartan(args.type)
+    elements = _parse_coxeter(m, args.coxeter)
+    cap = _default_cap(args)
+    docs = [document(args, m, c, *checks.principal_run(m, c, cap)) for c in elements]
+    _emit(args, docs[0] if len(docs) == 1 else docs)
+    return EXIT_OK
+
+
+def _info_document(args, m: CartanMatrix, c: CoxeterElement, graph, records) -> dict:
     h, star = h_vector(m, c)
-    graph, records = checks.principal_run(m, c, _default_cap(args))
     variables = [_record_json(rec) for rec in sorted(records, key=lambda r: r.label)]
     label_names = {rec.label: f"{rec.label.i + 1}.{rec.label.m}" for rec in records}
     cluster_family = [
@@ -181,11 +192,7 @@ def _info_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
 
 
 def cmd_info(args) -> int:
-    m = _load_cartan(args.type)
-    elements = _parse_coxeter(m, args.coxeter)
-    docs = [_info_document(m, c, args) for c in elements]
-    _emit(args, docs[0] if len(docs) == 1 else docs)
-    return EXIT_OK
+    return _report_each(args, _info_document)
 
 
 def _verify_suites(m: CartanMatrix, c: CoxeterElement, cap: int):
@@ -196,12 +203,13 @@ def _verify_suites(m: CartanMatrix, c: CoxeterElement, cap: int):
     results += checks.compat_symmetry_at_zero(m, c)
     results += checks.compat_reduction_agreement(m, c)
     results += checks.compat_duality(m, c)
-    results += checks.engine_against_formulas(m, c, cap)
+    run = checks.principal_run(m, c, cap)
+    results += checks.engine_against_formulas(m, c, run)
     results += checks.move_isomorphism_checks(m, c)
     if m.n <= 4:
         results += checks.compat_linear_identity(m, c)
         results += checks.orbit_representatives(m, c)
-        results += checks.universal_checks(m, c, cap)
+        results += checks.universal_checks(m, c, run, cap)
     return results
 
 
@@ -234,8 +242,7 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failures else EXIT_OK
 
 
-def _explore_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
-    graph, records = checks.principal_run(m, c, _default_cap(args))
+def _explore_document(args, m: CartanMatrix, c: CoxeterElement, graph, records) -> dict:
     return {
         "type": args.type,
         "coxeter": [i + 1 for i in c.order],
@@ -250,10 +257,7 @@ def _explore_document(m: CartanMatrix, c: CoxeterElement, args) -> dict:
 
 
 def cmd_explore(args) -> int:
-    m = _load_cartan(args.type)
-    docs = [_explore_document(m, c, args) for c in _parse_coxeter(m, args.coxeter)]
-    _emit(args, docs[0] if len(docs) == 1 else docs)
-    return EXIT_OK
+    return _report_each(args, _explore_document)
 
 
 def cmd_typea(args) -> int:

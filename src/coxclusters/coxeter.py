@@ -448,20 +448,6 @@ def all_coxeter_elements(m: CartanMatrix) -> tuple[CoxeterElement, ...]:
 # -- bipartite picture ------------------------------------------------------
 
 
-def bipartition_of(m: CartanMatrix, c: CoxeterElement) -> tuple[int, ...]:
-    """Sign vector with sources +1 and sinks -1; raises when c is not bipartite."""
-    eps = [0] * m.n
-    for i in range(m.n):
-        nbrs = m.neighbors(i)
-        if all(precedes(m, c, i, j) for j in nbrs):
-            eps[i] = 1
-        elif all(precedes(m, c, j, i) for j in nbrs):
-            eps[i] = -1
-        else:
-            raise InvalidMove(f"{c.order} is not bipartite: index {i} is neither source nor sink")
-    return tuple(eps)
-
-
 @lru_cache(maxsize=None)
 def all_roots(m: CartanMatrix) -> tuple[Root, ...]:
     """The full root system, as closure of the simple roots under reflections."""
@@ -568,16 +554,6 @@ def root_compat(m: CartanMatrix, alpha: Root, beta: Root) -> int:
     """
     _, index, rows = _half_reflection_tables(m)
     return rows[index[alpha.d]][index[beta.d]]
-
-
-def psi_bipartite(m: CartanMatrix, c: CoxeterElement, label: PiLabel) -> Root:
-    """Bijection from the bipartite label set to almost positive roots.
-
-    Fundamental weights map to negative simple roots; every other labelled
-    weight w maps to (one backward rotation of w) minus w.
-    """
-    bipartition_of(m, c)  # raises when c is not bipartite
-    return denominator(m, c, label)
 
 
 # -- primitive exchange relations -------------------------------------------

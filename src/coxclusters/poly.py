@@ -264,9 +264,6 @@ class LaurentPoly:
 
     # -- structure --------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._t
-
     def constant_coefficient(self) -> int:
         return self._t.get(self.ring.layout.one, 0)
 

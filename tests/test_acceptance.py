@@ -25,6 +25,7 @@ from coxclusters import (
     records_for,
 )
 from coxclusters import typea
+from coxclusters.algebra import DEFAULT_CAP
 from conftest import indecomposable_types
 import typea_suites
 
@@ -34,7 +35,8 @@ _SUITE_CACHE: dict = {}
 def _engine_suite(m, c):
     key = (m, c)
     if key not in _SUITE_CACHE:
-        _SUITE_CACHE[key] = checks.engine_against_formulas(m, c)
+        run = checks.principal_run(m, c, DEFAULT_CAP)
+        _SUITE_CACHE[key] = checks.engine_against_formulas(m, c, run)
     return _SUITE_CACHE[key]
 
 
@@ -187,7 +189,8 @@ def test_acceptance_08_universal_coefficients():
     for letter, rank in indecomposable_types(3):
         m = cartan_from_label(letter, rank)
         for c in all_coxeter_elements(m):
-            failures += _collect(checks.universal_checks(m, c))
+            run = checks.principal_run(m, c, DEFAULT_CAP)
+            failures += _collect(checks.universal_checks(m, c, run, DEFAULT_CAP))
     for n in range(1, 5):
         failures += _collect(typea_suites.typea_universal_coefficients(n))
     plus, minus = typea.universal_coeff_typea(3, (2, 4, 5, 6))

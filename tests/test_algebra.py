@@ -28,6 +28,7 @@ from coxclusters import (
     universal_seed,
 )
 from coxclusters.algebra import (
+    DEFAULT_CAP,
     SeedView,
     _mutate,
     _principal_columns,
@@ -266,7 +267,8 @@ def test_universal_seed_first_coefficient(a2):
 def test_universal_relations_and_specialization(spec):
     m = cartan_from_text(spec)
     c = coxeter_element(m, range(m.n))
-    for res in checks.universal_checks(m, c):
+    run = checks.principal_run(m, c, DEFAULT_CAP)
+    for res in checks.universal_checks(m, c, run, DEFAULT_CAP):
         assert res.passed, res
 
 
@@ -285,7 +287,8 @@ def test_corrupted_fundamental_exponent_fails_specialization(spec, monkeypatch):
         return replace(s, columns=(tuple(column),) + s.columns[1:])
 
     monkeypatch.setattr(checks, "universal_seed", corrupted)
-    verdicts = {r.suite: r.passed for r in checks.universal_checks(m, c)}
+    run = checks.principal_run(m, c, DEFAULT_CAP)
+    verdicts = {r.suite: r.passed for r in checks.universal_checks(m, c, run, DEFAULT_CAP)}
     assert not verdicts["universal/specializes-onto-principal-seeds"]
 
 
@@ -313,7 +316,7 @@ def test_move_isomorphism_all_sources(spec):
 def test_engine_full_suite_small(spec, word):
     m = cartan_from_text(spec)
     c = coxeter_element(m, word)
-    for res in checks.engine_against_formulas(m, c):
+    for res in checks.engine_against_formulas(m, c, checks.principal_run(m, c, DEFAULT_CAP)):
         assert res.passed, res
 
 

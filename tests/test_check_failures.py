@@ -11,12 +11,18 @@ from dataclasses import replace
 import pytest
 
 from coxclusters import PiLabel, cartan_from_text, checks, coxeter_element
+from coxclusters.algebra import DEFAULT_CAP
 from coxclusters.weyl import Root
 
 
 def _then(real, change):
     """``real`` with ``change`` applied to its result."""
     return lambda *args: change(real(*args))
+
+
+def _engine(m, c):
+    """The engine suite on the principal run of ``c``."""
+    return checks.engine_against_formulas(m, c, checks.principal_run(m, c, DEFAULT_CAP))
 
 
 def _bump(hs):
@@ -71,15 +77,15 @@ CASES = [
      "coxeter/beta-telescoping"),
     ("dual-h-vector", "B3", checks.compat_duality,
      lambda m, c: _bump_when(lambda mm, cc: mm != m), "compat/duality"),
-    ("count-formula", "A3", checks.engine_against_formulas,
+    ("count-formula", "A3", _engine,
      lambda m, c: {"coxeter_number": _then(checks.coxeter_number,
                                            lambda hs: tuple(h + 1 for h in hs))},
      "engine/count-formula-per-component"),
-    ("denominators", "A3", checks.engine_against_formulas,
+    ("denominators", "A3", _engine,
      lambda m, c: {"denominator": _then(checks.denominator,
                                         lambda r: Root(tuple(x + 1 for x in r.d)))},
      "engine/denominators-closed-form"),
-    ("zero-iff-shared", "A3", checks.engine_against_formulas,
+    ("zero-iff-shared", "A3", _engine,
      lambda m, c: {"shares_cluster_with_initial": lambda cluster_sets: set()},
      "engine/denominator-zero-iff-shared-cluster"),
 ]
@@ -95,6 +101,22 @@ def test_corrupted_input_fails_its_check(spec, suite, corruption, failing, monke
         monkeypatch.setattr(checks, name, fake)
     results = suite(m, c)
     assert {r.suite for r in results if not r.passed} == {failing}
+
+
+def test_engine_suite_rejects_a_corrupted_run():
+    """Swapping the labels of two non-initial records of the A3 run breaks
+    the label and denominator checks; the run as explored passes."""
+    m = cartan_from_text("A3")
+    c = coxeter_element(m, range(m.n))
+    graph, records = checks.principal_run(m, c, DEFAULT_CAP)
+    assert all(r.passed for r in checks.engine_against_formulas(m, c, (graph, records)))
+    a, b = [k for k, r in enumerate(records) if r.label.m != 0][:2]
+    swapped = list(records)
+    swapped[a], swapped[b] = (replace(records[a], label=records[b].label),
+                              replace(records[b], label=records[a].label))
+    failed = {r.suite for r in checks.engine_against_formulas(m, c, (graph, tuple(swapped)))
+              if not r.passed}
+    assert {"engine/label-routes-agree", "engine/denominators-closed-form"} <= failed
 
 
 def _bump_c_vector(mutate):

@@ -174,8 +174,8 @@ def test_internal_error_exit_code(target, exc, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["info", "verify", "explore"])
 def test_no_earlier_graph_is_alive_when_the_next_is_explored(command, monkeypatch, capsys):
-    """Over ``--coxeter all`` the held principal run is dropped before the
-    next orientation is explored.  A universal-coefficient walk, which
+    """Over ``--coxeter all`` the principal run of one orientation is dropped
+    before the next orientation is explored.  A universal-coefficient walk, which
     ``verify`` runs after the principal one, sees only the principal graph
     of its own orientation."""
     graphs = []
@@ -190,7 +190,6 @@ def test_no_earlier_graph_is_alive_when_the_next_is_explored(command, monkeypatc
         graphs.append(weakref.ref(graph))
         return graph
 
-    monkeypatch.setattr(checks, "_held_run", {})
     monkeypatch.setattr(checks, "explore", tracked)
     assert main([command, "--type", "A2", "--coxeter", "all"]) == 0
     capsys.readouterr()

@@ -14,7 +14,6 @@ from coxclusters import (
     beta_roots,
     bipartite_element,
     bipartition,
-    bipartition_of,
     cartan_from_label,
     cartan_from_text,
     clusters,
@@ -30,7 +29,6 @@ from coxclusters import (
     move_graph,
     pi_set,
     primitive_relations,
-    psi_bipartite,
     reflect_root,
     reflect_weight,
     root_compat,
@@ -228,8 +226,7 @@ def test_cluster_count_is_catalan_number(letter, rank):
         catalan //= d
     linear = coxeter_element(m, range(m.n))
     if m.n >= 3:
-        with pytest.raises(InvalidMove):
-            bipartition_of(m, linear)
+        assert linear != bipartite_element(m)
     for c in (bipartite_element(m), linear):
         assert len(clusters(m, c)) == catalan
 
@@ -328,18 +325,11 @@ def test_psi_move_equivariance_and_transport(spec):
             assert all(verdicts.values()), (c.order, s, verdicts)
 
 
-def test_bipartition_of_requires_bipartite(a3):
-    t = bipartite_element(a3)
-    assert bipartition_of(a3, t) == bipartition(a3)
-    with pytest.raises(InvalidMove):
-        bipartition_of(a3, coxeter_element(a3, (0, 1, 2)))
-
-
 def test_psi_bipartite_values(a2):
     t = bipartite_element(a2)  # the linear order is bipartite in rank 2
     for i in range(2):
-        assert psi_bipartite(a2, t, PiLabel(i, 0)) == Root(tuple(-int(k == i) for k in range(2)))
-    assert psi_bipartite(a2, t, PiLabel(0, 1)) == simple_root(2, 0)
+        assert denominator(a2, t, PiLabel(i, 0)) == Root(tuple(-int(k == i) for k in range(2)))
+    assert denominator(a2, t, PiLabel(0, 1)) == simple_root(2, 0)
 
 
 def test_root_compat_negative_simple(a2):

@@ -13,6 +13,8 @@ test reads is an oracle and lives in the tests, save the public oracles of
 parameter with a default must be passed, by position or by keyword, by some
 call in ``src/`` or ``perfbench/``, calls matched by the called name alone:
 a default that no such call overrides belongs in the body as a constant.
+No module mutates a container bound at module level: state a caller needs
+is passed to it as an argument.
 """
 
 import ast
@@ -104,23 +106,41 @@ def _definitions(tree):
 
 def unread_definitions(trees, allowed=()):
     """(module, name) of each definition (:func:`_definitions`) of a tree
-    under ``src/`` that no reader reads outside its own body, the
-    ``allowed`` pairs aside.  ``trees`` maps paths relative to the
-    repository root to trees; the readers are those under ``src/`` but
-    ``__init__.py`` and, strings included, those under ``perfbench/``."""
-    total = Counter()
+    under ``src/`` whose name the readers read outside the bodies of its
+    k definitions fewer than k times, the ``allowed`` pairs aside.
+    ``trees`` maps paths relative to the repository root to trees; the
+    readers are those under ``src/`` but ``__init__.py`` and, strings
+    included, those under ``perfbench/``."""
+    spare = Counter()  # reads outside the definitions' bodies, less one per definition
     for path, tree in trees.items():
         if path.parts[0] == "perfbench":
-            total += _reads(tree, strings=True)
+            spare += _reads(tree, strings=True)
         elif path.parts[0] == "src" and path.name != "__init__.py":
-            total += _reads(tree)
-    return [
-        (path.name, node.name)
-        for path, tree in trees.items()
-        if path.parts[0] == "src"
-        for node in _definitions(tree)
-        if total[node.name] == _reads(node)[node.name] and (path.name, node.name) not in allowed
-    ]
+            spare += _reads(tree)
+    defined = [(p.name, node) for p, tree in trees.items() if p.parts[0] == "src"
+               for node in _definitions(tree)]
+    for _, node in defined:
+        spare[node.name] -= _reads(node)[node.name] + 1
+    return [(module, node.name) for module, node in defined
+            if spare[node.name] < 0 and (module, node.name) not in allowed]
+
+
+MUTATORS = {"clear", "append", "update", "pop", "setdefault", "add"}
+
+
+def module_state_mutations(tree):
+    """(line, name) of each mutation of a name bound by a module-level
+    assignment: an item assigned or deleted, or a :data:`MUTATORS` call."""
+    bound = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in getattr(node, "targets", None) or [node.target]
+             if isinstance(target, ast.Name)}
+    changed = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            changed.append((node.lineno, node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+            changed.append((node.lineno, node.func.value))
+    return sorted((line, t.id) for line, t in changed if isinstance(t, ast.Name) and t.id in bound)
 
 
 def _defaulted(tree):
@@ -176,6 +196,22 @@ def test_every_definition_is_read():
     assert unread_definitions(trees, ORACLES) == []
 
 
+def test_no_module_state_is_mutated():
+    assert [(p.name, *hit) for p in SRC for hit in module_state_mutations(_parse(p))] == []
+
+
+def test_module_state_guard_is_not_vacuous():
+    tree = ast.parse(
+        "CACHE = {}\n"
+        "SEEN: set = set()\n"
+        "def f(k, local):\n"
+        "    CACHE[k] = SEEN.add(k)\n"
+        "    local[k] = local.update(CACHE)\n"
+        "    return CACHE.get(k), SEEN.clear()\n"
+    )
+    assert module_state_mutations(tree) == [(4, "CACHE"), (4, "SEEN"), (6, "SEEN")]
+
+
 def test_every_default_is_passed_somewhere():
     modules = {p.name: _parse(p) for p in SRC}
     assert unpassed_defaults(modules, [_parse(p) for p in BENCH]) == []
@@ -228,6 +264,11 @@ def test_private_method_guard_is_not_vacuous():
         ("lib.py", "size"),
         ("lib.py", "unread"),
     ]
+    # Two classes define f and one read exists: either f may be the unread one.
+    twice = ast.parse("class A:\n    def f(self): pass\nclass B:\n    def f(self): pass\n")
+    user = ast.parse("import lib\nlib.A().f()\nlib.A\nlib.B\n")
+    trees = {Path("src/lib.py"): twice, Path("src/user.py"): user}
+    assert unread_definitions(trees) == [("lib.py", "f"), ("lib.py", "f")]
 
 
 def test_reader_guard_is_not_vacuous():

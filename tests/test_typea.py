@@ -270,7 +270,7 @@ def _relations_modulo_det(n):
     for quad in _quadruples(n):
         lhs, rhs = _sides_det_replaced(n, *quad)
         diff = lhs - rhs
-        ok = diff.is_zero()
+        ok = diff == diff.ring.zero()
         if not ok:
             try:
                 diff.exact_div(det_minus_one)

@@ -44,9 +44,9 @@ def determinant(rows):
     first, rest = rows[0], rows[1:]
     if not rest:
         return first[0]
-    total = first[0].ring.zero()
+    total = zero = first[0].ring.zero()
     for c, entry in enumerate(first):
-        if not entry.is_zero():
+        if entry != zero:
             piece = entry * determinant([row[:c] + row[c + 1:] for row in rest])
             total = total + piece if c % 2 == 0 else total - piece
     return total
