@@ -14,7 +14,6 @@ from .weyl import (
     Root,
     Weight,
     apply_word,
-    fundamental_weight,
     reflect_root,
     reflect_weight,
     simple_root,

@@ -11,6 +11,8 @@ denominators are read off the simple reflections that build the chains (see
 :mod:`coxclusters.weyl`), so they are integral by construction.  The label
 objects of Pi, their rotation ``tau`` and the first root family ``beta`` are
 built from those tuples on first read, and everything is cached per element.
+The Coxeter number h, the chains' bound and their reference
+(h(i) + h(star(i)) = h), is a root count, |Phi| / n (:func:`coxeter_number`).
 
 Both compatibility pairings are fixed integer tables, built on first use and
 then read whole or by index: the label pairing once per (Cartan matrix,
@@ -34,7 +36,6 @@ from .weyl import (
     Weight,
     _reflect_word,
     apply_word,
-    fundamental_weight,
     reflect_root,
     simple_root,
 )
@@ -261,21 +262,14 @@ def _data(m: CartanMatrix, c: CoxeterElement) -> _CoxeterData:
 
 @lru_cache(maxsize=None)
 def coxeter_number(m: CartanMatrix) -> tuple[int, ...]:
-    """Order of any Coxeter element on each connected component, in component order."""
-    numbers = []
-    c = coxeter_element(m, range(m.n))
-    for comp in m.components:
-        # Generic integer weight supported on the component; its orbit size is
-        # the order of the component's Coxeter element.
-        probes = [fundamental_weight(m.n, i) for i in comp]
-        order, current = 1, [apply_word(m, c.order, w) for w in probes]
-        while current != probes:
-            current = [apply_word(m, c.order, w) for w in current]
-            order += 1
-            if order > 10_000:
-                raise InternalCheckError("Coxeter element order exceeds sanity cap")
-        numbers.append(order)
-    return tuple(numbers)
+    """Order of any Coxeter element on each connected component, in component
+    order: a component of rank n has nh roots (Humphreys, *Reflection Groups
+    and Coxeter Groups*, ch. 3), so h counts the roots of :func:`all_roots`
+    supported on it, divided by n."""
+    roots = all_roots(m)
+    return tuple(
+        sum(1 for r in roots if any(r.d[i] for i in comp)) // len(comp) for comp in m.components
+    )
 
 
 def component_coxeter_number(m: CartanMatrix, i: int) -> int:

@@ -343,23 +343,19 @@ class LaurentPoly:
         return LaurentPoly(self.ring, acc, lo, hi)
 
     def __pow__(self, k: int) -> "LaurentPoly":
-        """Power by repeated squaring.  The product starts from the first
-        factor it needs, so ``p ** 1`` is ``p`` itself and costs no product.
-        A negative power is the positive power of one exact division of 1,
-        so it exists only for a monomial with coefficient +-1."""
+        """Power by repeated products, so ``p ** 1`` is ``p`` itself and
+        costs no product; the engine's exponents are at most 3, where this
+        takes as many products as squaring.  A negative power is the
+        positive power of one exact division of 1, so it exists only for a
+        monomial with coefficient +-1."""
         if k < 0:
             return self.ring.one().exact_div(self) ** -k
         if not k:
             return self.ring.one()
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        result = self
+        for _ in range(k - 1):
+            result = result * self
+        return result
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact Laurent division; raises :class:`InexactDivision` otherwise.

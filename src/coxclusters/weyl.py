@@ -3,11 +3,13 @@
 Weights are always stored in fundamental-weight coordinates and roots in
 simple-root coordinates; conversions between the two bases are explicit.
 
-A word acts on a weight through one in-place kernel, :func:`_reflect_word`:
-s_j subtracts g_j alpha_j, and alpha_j in weight coordinates is column j of
-the Cartan matrix, so a letter touches only g_j and j's neighbours.  The
-subtracted g_j, summed per letter, are lambda - w(lambda) in simple-root
-coordinates: integral by construction, with no inverse of the Cartan matrix.
+:func:`apply_word` acts on roots only.  The rotation chains and
+:func:`reflect_weight` act on weights through one in-place kernel,
+:func:`_reflect_word`: s_j subtracts g_j alpha_j, and alpha_j in weight
+coordinates is column j of the Cartan matrix, so a letter touches only g_j
+and j's neighbours.  The subtracted g_j, summed per letter, are
+lambda - w(lambda) in simple-root coordinates: integral by construction,
+with no inverse of the Cartan matrix.
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ class Weight:
 
     g: tuple[int, ...]
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(x - y for x, y in zip(self.g, other.g)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-x for x in self.g))
-
 
 @dataclass(frozen=True)
 class Root:
@@ -53,10 +49,6 @@ class Root:
 
     def is_positive(self) -> bool:
         return self.is_nonnegative() and not self.is_zero()
-
-
-def fundamental_weight(n: int, i: int) -> Weight:
-    return Weight(tuple(1 if k == i else 0 for k in range(n)))
 
 
 def simple_root(n: int, i: int) -> Root:
@@ -101,18 +93,14 @@ def _reflect_word(m: CartanMatrix, word: Sequence[int], g: list[int]) -> list[in
     return out
 
 
-def apply_word(m: CartanMatrix, word: Sequence[int], x):
-    """Left action of a product of simple reflections; the rightmost letter acts first."""
+def apply_word(m: CartanMatrix, word: Sequence[int], r: Root) -> Root:
+    """Left action of a product of simple reflections on a root; the
+    rightmost letter acts first."""
     for letter in reversed(word):
         if not 0 <= letter < m.n:
             raise IndexError(f"letter {letter} out of range for rank {m.n}")
-    if isinstance(x, Root):
-        for letter in reversed(word):
-            x = reflect_root(m, letter, x)
-        return x
-    g = list(x.g)
-    _reflect_word(m, word, g)
-    return Weight(tuple(g))
+        r = reflect_root(m, letter, r)
+    return r
 
 
 @lru_cache(maxsize=None)

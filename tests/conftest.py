@@ -1,6 +1,7 @@
 import pytest
 
 from coxclusters import (
+    Weight,
     all_coxeter_elements,
     bipartite_element,
     cartan_from_label,
@@ -29,6 +30,16 @@ REFERENCE_TYPES = (
     [f"{x}{r}" for x, lo in (("A", 1), ("B", 2), ("C", 3)) for r in range(lo, 6)]
     + ["D4", "D5", "G2", "F4", "A2xA1", "B2xG2", "E6", "E7", "E8"]
 )
+
+
+def fundamental_weight(n, i):
+    """omega_i in fundamental-weight coordinates."""
+    return Weight(tuple(int(k == i) for k in range(n)))
+
+
+def weight_difference(v, w):
+    """v - w, coordinate by coordinate."""
+    return Weight(tuple(x - y for x, y in zip(v.g, w.g)))
 
 
 def weyl_degrees(letter, rank):

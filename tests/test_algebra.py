@@ -18,6 +18,7 @@ from coxclusters import (
     cartan_from_text,
     checks,
     coxeter_element,
+    denominator,
     explore,
     extract_record,
     label_variables,
@@ -25,6 +26,7 @@ from coxclusters import (
     pi_set,
     principal_seed,
     records_for,
+    tau,
     universal_seed,
 )
 from coxclusters.algebra import (
@@ -310,6 +312,36 @@ def test_move_isomorphism_all_sources(spec):
     for c in all_coxeter_elements(m):
         for res in checks.move_isomorphism_checks(m, c):
             assert res.passed, res
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["A3", "B3", "C3", "G2", "B4", "C4", "D4", "F4", "A2xA1", "A5", "B5", "C5", "D5", "E6",
+     pytest.param("E7", marks=pytest.mark.slow)],
+)
+def test_coxeter_mutation_path_is_tau(spec):
+    """Mutating the slots of the principal seed in the order of c, round
+    after round, turns each slot's label into tau of it, until every label
+    is reached: per step, the record's label and denominator and the
+    separation form of its expansion.  Every orientation, but only the
+    bipartite element of E6 and E7."""
+    m = cartan_from_text(spec)
+    for c in [bipartite_element(m)] if spec.startswith("E") else all_coxeter_elements(m):
+        seed, size = principal_seed(m, c), len(pi_set(m, c))
+        labels = [PiLabel(i, 0) for i in range(m.n)]
+        reached = set(labels)
+        for step in range(2 * size):
+            if len(reached) == size:
+                break
+            k = c.order[step % m.n]
+            seed = mutate(seed, k)
+            labels[k] = tau(m, c, labels[k])
+            reached.add(labels[k])
+            rec = extract_record(m, c, seed.cluster[k])
+            assert rec.label == labels[k], (c.order, step)
+            assert rec.denom == denominator(m, c, labels[k]), (c.order, step)
+            assert separation_form(m, c, rec, seed.ring) == rec.expansion, (c.order, step)
+        assert len(reached) == size, c.order
 
 
 @pytest.mark.parametrize("spec,word", [("A2xA1", (0, 1, 2)), ("B2", (1, 0))])

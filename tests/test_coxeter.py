@@ -23,7 +23,6 @@ from coxclusters import (
     coxeter_number,
     cyclical_move,
     denominator,
-    fundamental_weight,
     h_vector,
     label_weight,
     move_graph,
@@ -38,9 +37,15 @@ from coxclusters import (
     weight_as_root,
     weight_label,
 )
-from coxclusters import checks, coxeter
+from coxclusters import checks, coxeter, weyl
 from coxclusters.coxeter import MoveGraph, all_roots
-from conftest import REFERENCE_TYPES, indecomposable_types, weyl_degrees
+from conftest import (
+    REFERENCE_TYPES,
+    fundamental_weight,
+    indecomposable_types,
+    weight_difference,
+    weyl_degrees,
+)
 
 
 @lru_cache(maxsize=None)
@@ -57,7 +62,7 @@ def psi_move(m, c, ctilde, label, source):
     if cyclical_move(m, c, source) != ctilde:
         raise InvalidMove(f"rotating {source} does not relate the two elements")
     w = label_weight(m, ctilde, label)
-    if w == -fundamental_weight(m.n, source):
+    if w == Weight(tuple(-int(k == source) for k in range(m.n))):
         return weight_label(m, c, fundamental_weight(m.n, source))
     return weight_label(m, c, reflect_weight(m, source, w))
 
@@ -118,6 +123,45 @@ def test_coxeter_numbers():
     assert coxeter_number(cartan_from_label("A", 3)) == (4,)
     assert coxeter_number(cartan_from_label("G", 2)) == (6,)
     assert coxeter_number(cartan_from_text("A2xA1")) == (3, 2)
+
+
+def reference_coxeter_number(m):
+    """The former walk: apply a Coxeter element to the fundamental weights of
+    each component, one reflection at a time, until they all come back."""
+    numbers = []
+    for comp in m.components:
+        probes = [fundamental_weight(m.n, i) for i in comp]
+        current, order = probes, 0
+        while order == 0 or current != probes:
+            for letter in reversed(range(m.n)):
+                current = [reflect_weight(m, letter, w) for w in current]
+            order += 1
+        numbers.append(order)
+    return tuple(numbers)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"{x}{r}" for x, r in indecomposable_types(8)] + ["A2xA1", "B3xG2xA1", "E6xD4"],
+)
+def test_coxeter_number_matches_walk(spec):
+    m = cartan_from_text(spec)
+    assert coxeter_number(m) == reference_coxeter_number(m)
+
+
+def test_coxeter_number_walks_no_weight(monkeypatch):
+    """The Coxeter number is a root count: with the weight kernel gone it
+    still comes out."""
+
+    def gone(*args):
+        raise AssertionError("the weight kernel was called")
+
+    monkeypatch.setattr(coxeter, "_reflect_word", gone)
+    monkeypatch.setattr(weyl, "_reflect_word", gone)
+    coxeter_number.cache_clear()
+    all_roots.cache_clear()
+    for spec, h in (("A5", (6,)), ("E6", (12,)), ("A2xA1", (3, 2))):
+        assert coxeter_number(cartan_from_text(spec)) == h
 
 
 def test_beta_roots_a2(a2c):
@@ -493,7 +537,9 @@ def test_primitive_relation_constants_are_denominators(a3):
         if r.monomial_coef == (0, 0, 0):
             gamma = max(first, second, key=lambda lab: lab.m)
             prev = tau_inverse(a3, c, gamma)
-            diff = weight_as_root(a3, label_weight(a3, c, prev) - label_weight(a3, c, gamma))
+            diff = weight_as_root(
+                a3, weight_difference(label_weight(a3, c, prev), label_weight(a3, c, gamma))
+            )
             assert r.constant_coef == diff.d
 
 
@@ -525,7 +571,7 @@ def reference_chains(m, c):
             nxt = w
             for letter in reversed(c.order):
                 nxt = reflect_weight(m, letter, nxt)
-            diff = weight_as_root(m, w - nxt)
+            diff = weight_as_root(m, weight_difference(w, nxt))
             assert diff is not None and diff.is_positive()
             w = nxt
             weight_of[PiLabel(i, step)] = w

@@ -10,7 +10,9 @@ The walk starts from d_i = -e_i; mutation in direction k replaces d_k by
 and B by matrix mutation (Fomin-Zelevinsky, Cluster algebras IV, §7).  A
 seed is keyed by its set of d-vectors.  Nothing here calls the engine or
 the rotation chains of ``coxeter``; the results are compared with the
-closed-form denominators of Pi(c) and with the number of clusters.
+closed-form denominators of Pi(c), with the number of clusters and, along
+the Coxeter mutation (the slots mutated in the order of c, round after
+round), with the rotation tau of the labels.
 """
 
 import pytest
@@ -20,12 +22,15 @@ from coxclusters import (
     bipartite_element,
     cartan_from_text,
     clusters,
+    PiLabel,
     denominator,
     pi_set,
+    tau,
 )
 
 ORIENTED = ("A3", "B3", "C3", "G2", "B4", "C4", "D4", "F4", "A2xA1", "A5", "D5")
 NOT_SIMPLY_LACED = ("B3", "C3", "G2", "F4")
+PATH_ORIENTED = ORIENTED + ("B5", "C5", "A6")
 
 
 def exchange_matrix(a, order):
@@ -56,6 +61,16 @@ def matrix_mutation(b, k):
     )
 
 
+def d_vector_mutation(b, ds, k):
+    """The new d-vector d'_k of slot k, the d-vectors of the slots being ds."""
+    n = len(b)
+    sides = [
+        [sum(f(b[i][k]) * ds[i][t] for i in range(n)) for t in range(n)]
+        for f in (_plus, lambda x: _plus(-x))
+    ]
+    return tuple(-d + max(p, q) for d, p, q in zip(ds[k], *sides))
+
+
 def d_vector_walk(b):
     """(every d-vector reached, number of seeds) of the exchange graph of b."""
     n = len(b)
@@ -64,12 +79,7 @@ def d_vector_walk(b):
     queue = [(start, b)]
     for ds, bt in queue:  # grows while it is walked: breadth first
         for k in range(n):
-            sides = [
-                [sum(f(bt[i][k]) * ds[i][t] for i in range(n)) for t in range(n)]
-                for f in (_plus, lambda x: _plus(-x))
-            ]
-            dk = tuple(-d + max(p, q) for d, p, q in zip(ds[k], *sides))
-            new = ds[:k] + (dk,) + ds[k + 1:]
+            new = ds[:k] + (d_vector_mutation(bt, ds, k),) + ds[k + 1:]
             if frozenset(new) not in seen:
                 seen.add(frozenset(new))
                 queue.append((new, matrix_mutation(bt, k)))
@@ -108,3 +118,56 @@ def test_transposed_exchange_matrix_is_rejected(spec):
         transposed = tuple(zip(*exchange_matrix(m.a, c.order)))
         dvectors, _ = d_vector_walk(transposed)
         assert dvectors != _closed_form(m, c)[0], c.order
+
+
+def coxeter_path_is_tau(m, c, b, order):
+    """Mutate the slots of b in ``order``, round after round, from d_i = -e_i,
+    slot i starting at the label (i, 0).  True when each mutation gives the
+    slot the closed-form denominator of tau of its label, and the labels
+    come back to the (i, 0) within 2N mutations, N = |Pi(c)|, having
+    reached every label."""
+    n, size = m.n, len(pi_set(m, c))
+    ds = [tuple(-int(i == j) for j in range(n)) for i in range(n)]
+    start = [PiLabel(i, 0) for i in range(n)]
+    labels, reached = list(start), set(start)
+    for step in range(2 * size):
+        k = order[step % n]
+        ds[k] = d_vector_mutation(b, ds, k)
+        b = matrix_mutation(b, k)
+        labels[k] = tau(m, c, labels[k])
+        if ds[k] != denominator(m, c, labels[k]).d:
+            return False
+        reached.add(labels[k])
+        if labels == start:
+            return len(reached) == size
+    return False
+
+
+def _path_elements(spec):
+    m = cartan_from_text(spec)
+    return m, [bipartite_element(m)] if spec.startswith("E") else all_coxeter_elements(m)
+
+
+@pytest.mark.parametrize("spec", PATH_ORIENTED + ("E6", "E7", "E8"))
+def test_coxeter_mutation_is_tau(spec):
+    """Every orientation, but only the bipartite element of E6, E7 and E8."""
+    m, elements = _path_elements(spec)
+    for c in elements:
+        assert coxeter_path_is_tau(m, c, exchange_matrix(m.a, c.order), c.order), c.order
+
+
+@pytest.mark.parametrize("spec", PATH_ORIENTED + ("E6",))
+def test_coxeter_mutation_rejects_reversed_order(spec):
+    m, elements = _path_elements(spec)
+    for c in elements:
+        reversed_order = tuple(reversed(c.order))
+        assert not coxeter_path_is_tau(m, c, exchange_matrix(m.a, c.order), reversed_order), c.order
+
+
+@pytest.mark.parametrize("spec", ["B3", "C3", "G2", "B4", "C4", "F4", "B5", "C5"])
+def test_coxeter_mutation_rejects_transpose(spec):
+    """Only these types can tell B from B^T, as in the transposed walk above."""
+    m, elements = _path_elements(spec)
+    for c in elements:
+        transposed = tuple(zip(*exchange_matrix(m.a, c.order)))
+        assert not coxeter_path_is_tau(m, c, transposed, c.order), c.order

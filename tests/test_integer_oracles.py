@@ -9,6 +9,10 @@ here from the raw seeds, g-vectors and clusters:
   skew-symmetrizes B_t.  The columns of G_t are the g-vectors of the seed's
   variables and those of C_t its c-vectors, in slot order;
 * |det G_t| = 1: the g-vectors of a cluster are a basis of the weight lattice;
+* the g-vector recurrence (FZ IV, §6, by homogeneity): on each
+  edge, read from either end, the new variable's g-vector is
+  -g_k + sum_i [b_ik]+ g_i - sum_j [c_jk]+ b0_j, with b0_j column j of the
+  initial exchange matrix B0 and c_jk entry j of slot k's c-vector;
 * every (n-1)-subset of a cluster of ``clusters(m, c)`` lies in exactly two
   clusters, and these pairs are exactly the engine's edges, as label sets.
 
@@ -32,6 +36,7 @@ from coxclusters import (
     records_for,
 )
 from coxclusters.algebra import SeedView
+from test_dvector_oracle import exchange_matrix
 
 ORIENTED = ("A3", "B3", "C3", "G2", "B4", "C4", "D4", "F4", "A2xA1", "B2xG2")
 
@@ -99,6 +104,30 @@ def unimodular(seeds, gvecs):
     return all(abs(integer_det([gvecs[v] for v in s.var_ids])) == 1 for s in seeds)
 
 
+def g_vector_recurrence(b0, seeds, edges, gvecs):
+    n = len(b0)
+    for a, b in edges:
+        for s, t in ((seeds[a], seeds[b]), (seeds[b], seeds[a])):
+            (k,) = [p for p, v in enumerate(s.var_ids) if v not in t.var_ids]
+            (new,) = set(t.var_ids) - set(s.var_ids)
+            col = s.columns[k]
+            g = tuple(
+                -gvecs[s.var_ids[k]][r]
+                + sum(max(col[i], 0) * gvecs[v][r] for i, v in enumerate(s.var_ids))
+                - sum(max(col[n + j], 0) * b0[r][j] for j in range(n))
+                for r in range(n)
+            )
+            if g != gvecs[new]:
+                return False
+    return True
+
+
+def initial_exchange_matrix(name):
+    """B0 of an instance, read off its Cartan matrix and Coxeter word."""
+    spec, word = name.split()
+    return exchange_matrix(cartan_from_text(spec).a, [int(x) - 1 for x in word.split(",")])
+
+
 def ridges_match_edges(cluster_list, seeds, edges, labels):
     by_ridge = defaultdict(list)
     for cl in cluster_list:
@@ -120,6 +149,7 @@ def test_integer_oracles(name):
     assert sign_coherent(graph.seeds)
     assert dual_bases(m.d, graph.seeds, gvecs)
     assert unimodular(graph.seeds, gvecs)
+    assert g_vector_recurrence(initial_exchange_matrix(name), graph.seeds, graph.edges, gvecs)
     assert ridges_match_edges(cluster_list, graph.seeds, graph.edges, labels)
 
 
@@ -138,6 +168,7 @@ def test_oracles_reject_corrupted_data(name):
     bad_g = list(gvecs)
     bad_g[v] = (gvecs[v][0] + 1,) + gvecs[v][1:]
     assert not dual_bases(m.d, seeds, bad_g)
+    assert not g_vector_recurrence(initial_exchange_matrix(name), seeds, graph.edges, bad_g)
     bad_g[v] = tuple(2 * x for x in gvecs[v])
     assert not unimodular(seeds, bad_g)
     # One edge moved to a seed that is not adjacent, or one cluster dropped.
