@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 seed cap exceeded, 4 internal error.  JSON output is canonically ordered
-and byte-stable across runs.
+and byte-stable across runs: keys sorted, a two-space indent and ASCII
+escapes, the same bytes as ``json``'s ``dumps(indent=2, sort_keys=True)``.
 
 ``--type`` is a type label (``A3``, ``D4``, ``A2xA1``) whenever it has the
 syntax of one, even if a file of that name exists; anything else is read as
@@ -25,9 +26,9 @@ traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import checks, typea
@@ -110,7 +111,7 @@ def _default_cap(args) -> int:
 
 def _emit(args, document) -> None:
     if args.format == "json":
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        text = _json_text(document) + "\n"
     else:
         text = _render_text(document) + "\n"
     if args.output:
@@ -120,6 +121,43 @@ def _emit(args, document) -> None:
             raise UsageError(f"cannot write {args.output!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _json_text(document) -> str:
+    """``document`` as ``json`` writes it with ``indent=2, sort_keys=True``,
+    in one walk that joins its parts once (json's C encoder ignores
+    ``indent``).  Only dicts with str keys, lists, str, int, bool and None
+    are written; anything else raises ``TypeError``."""
+    parts = []
+    put, rep, ints = parts.append, int.__repr__, {int}
+
+    def walk(x, pad: str) -> None:
+        kind, inner = type(x), pad + "  "
+        if kind is str:
+            put(encode_basestring_ascii(x))
+        elif kind is int:
+            put(rep(x))
+        elif kind is bool or x is None:
+            put("null" if x is None else "true" if x else "false")
+        elif kind is not list and kind is not dict:
+            raise TypeError(f"cannot write a {kind.__name__} as JSON")
+        elif not x:
+            put("[]" if kind is list else "{}")
+        elif kind is dict:
+            for k, key in enumerate(sorted(x)):  # a key that is not a str raises
+                put(("," if k else "{") + inner + encode_basestring_ascii(key) + ": ")
+                walk(x[key], inner)
+            put(pad + "}")
+        elif set(map(type, x)) == ints:  # no bool: it prints as true/false
+            put("[" + inner + ("," + inner).join(map(rep, x)) + pad + "]")
+        else:
+            for k, value in enumerate(x):
+                put(("," if k else "[") + inner)
+                walk(value, inner)
+            put(pad + "]")
+
+    walk(document, "\n")
+    return "".join(parts)
 
 
 def _render_text(document, indent: int = 0) -> str:

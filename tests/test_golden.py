@@ -1,11 +1,12 @@
 """Byte-for-byte guards on the engine's output.
 
-``golden_digests.json`` maps each command line to the sha256 of the JSON
-that ``info``, ``verify``, ``explore`` or ``typea`` prints, recorded once
-from a trusted build.  To record them again, run each command line through
-``coxclusters.cli.main`` and hash its stdout.  The ``typea --n 11`` digest
-must also equal the one ``perfbench/expected.json`` gates the benchmark
-on, so the tests and the benchmark guard the same bytes.
+``golden_digests.json`` maps each command line to the sha256 of what
+``info``, ``verify``, ``explore`` or ``typea`` prints, recorded once from a
+trusted build: JSON by default, the ``--format text`` rendering for the
+command lines that ask for it.  To record them again, run each command line
+through ``coxclusters.cli.main`` and hash its stdout.  The ``typea --n 11``
+digest must also equal the one ``perfbench/expected.json`` gates the
+benchmark on, so the tests and the benchmark guard the same bytes.
 
 The CLI JSON shows counts and records, not seeds or relations, so
 ``graph_digests.json`` maps each start seed named by
