@@ -126,13 +126,22 @@ def _emit(args, document) -> None:
 def _json_text(document) -> str:
     """``document`` as ``json`` writes it with ``indent=2, sort_keys=True``,
     in one walk that joins its parts once (json's C encoder ignores
-    ``indent``).  Only dicts with str keys, lists, str, int, bool and None
-    are written; anything else raises ``TypeError``."""
+    ``indent``).  A list of plain ints, alone or as an item of a list, is
+    written in one step.  Only dicts with str keys, lists, str, int, bool
+    and None are written; anything else raises ``TypeError``."""
     parts = []
     put, rep, ints = parts.append, int.__repr__, {int}
+    levels = []  # per depth: a list's and a dict's opener, the comma, their closers
 
-    def walk(x, pad: str) -> None:
-        kind, inner = type(x), pad + "  "
+    def level(depth: int) -> tuple[str, str, str, str, str]:
+        if depth == len(levels):
+            pad = "\n" + "  " * depth
+            inner = pad + "  "
+            levels.append(("[" + inner, "{" + inner, "," + inner, pad + "]", pad + "}"))
+        return levels[depth]
+
+    def walk(x, depth: int) -> None:
+        kind = type(x)
         if kind is str:
             put(encode_basestring_ascii(x))
         elif kind is int:
@@ -144,19 +153,26 @@ def _json_text(document) -> str:
         elif not x:
             put("[]" if kind is list else "{}")
         elif kind is dict:
+            _, start, comma, _, end = level(depth)
             for k, key in enumerate(sorted(x)):  # a key that is not a str raises
-                put(("," if k else "{") + inner + encode_basestring_ascii(key) + ": ")
-                walk(x[key], inner)
-            put(pad + "}")
-        elif set(map(type, x)) == ints:  # no bool: it prints as true/false
-            put("[" + inner + ("," + inner).join(map(rep, x)) + pad + "]")
+                put((comma if k else start) + encode_basestring_ascii(key) + ": ")
+                walk(x[key], depth + 1)
+            put(end)
         else:
+            start, _, comma, end, _ = level(depth)
+            if ints.issuperset(map(type, x)):  # no bool: it prints as true/false
+                put(start + comma.join(map(rep, x)) + end)
+                return
+            item_start, _, item_comma, item_end, _ = level(depth + 1)
             for k, value in enumerate(x):
-                put(("," if k else "[") + inner)
-                walk(value, inner)
-            put(pad + "]")
+                put(comma if k else start)
+                if type(value) is list and value and ints.issuperset(map(type, value)):
+                    put(item_start + item_comma.join(map(rep, value)) + item_end)
+                else:
+                    walk(value, depth + 1)
+            put(end)
 
-    walk(document, "\n")
+    walk(document, 0)
     return "".join(parts)
 
 
@@ -313,8 +329,8 @@ def cmd_typea(args) -> int:
                 "ok": quad_checks.ok,
                 "polygon_exchange": {
                     "pair": [[i, k + 2], [j, l + 2]],
-                    "p_plus": [list(d) for d in plus],
-                    "p_minus": [list(d) for d in minus],
+                    "p_plus": list(map(list, plus)),
+                    "p_minus": list(map(list, minus)),
                 },
             }
         )

@@ -8,14 +8,15 @@ matrix entries, with the determinant kept as the full-size minor; they hold
 on the cell where it is 1.  Each relation is also an exchange across a
 quadrilateral of a convex (n+3)-gon, whose universal coefficients are read
 off a strip-membership rule for dual diagonals: the diagonals joining the
-half-open vertex ranges of two boundary arcs.
+half-open vertex ranges of two boundary arcs.  A diagonal is its vertex pair
+(a, b) with a < b, a plain tuple of ints, and each side of a relation is the
+sorted tuple of its pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .poly import LaurentPoly, PolyRing
 
@@ -84,14 +85,6 @@ def verify_exchange_relations(n: int) -> tuple[RelationCheck, ...]:
 # -- polygon picture ------------------------------------------------------------------
 
 
-class Diagonal(NamedTuple):
-    """Vertex pair a < b of the convex (n+3)-gon; boundary sides are unit
-    variables.  A tuple, so it equals and orders as its plain pair (a, b)."""
-
-    a: int
-    b: int
-
-
 def _arc_vertices(n: int, lo: int, hi: int) -> list[int]:
     """Vertices p with lo < p <= hi counter-clockwise on the (n+3)-gon.
 
@@ -113,13 +106,13 @@ def _spanning_duals(n: int, arc1: tuple[int, int], arc2: tuple[int, int]):
     gap between them holds a chord endpoint, so no pair is a boundary side.
     """
     ends = _arc_vertices(n, *arc2)
-    return tuple(sorted([Diagonal(p, q) if p < q else Diagonal(q, p)
+    return tuple(sorted([(p, q) if p < q else (q, p)
                          for p in _arc_vertices(n, *arc1) for q in ends]))
 
 
 def universal_coeff_typea(
     n: int, quad: tuple[int, int, int, int]
-) -> tuple[tuple[Diagonal, ...], tuple[Diagonal, ...]]:
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
     """Universal coefficients of the exchange across a quadrilateral.
 
     ``quad = (i, j, k, l)`` in counter-clockwise order names the exchange of
@@ -130,6 +123,7 @@ def universal_coeff_typea(
     second multiset is the same rule for the sides (j,k) and (l,i).  In
     vertices: the pairs {a, b} with j < a <= k and b cyclically after l up
     to i, resp. with k < a <= l and i < b <= j; no pair is a boundary side.
+    Each multiset is the sorted tuple of its vertex pairs ``(a, b)``, a < b.
     """
     i, j, k, l = quad
     if not (1 <= i < j < k < l <= n + 3):

@@ -194,10 +194,7 @@ def test_acceptance_08_universal_coefficients():
     for n in range(1, 5):
         failures += _collect(typea_suites.typea_universal_coefficients(n))
     plus, minus = typea.universal_coeff_typea(3, (2, 4, 5, 6))
-    if plus != (typea.Diagonal(1, 5), typea.Diagonal(2, 5)) or minus != (
-        typea.Diagonal(3, 6),
-        typea.Diagonal(4, 6),
-    ):
+    if plus != ((1, 5), (2, 5)) or minus != ((3, 6), (4, 6)):
         failures.append(("typea/hexagon-instance", "A3", f"{plus} {minus}"))
     _report(8, "universal coefficients and polygon rule", failures, started)
 

@@ -28,8 +28,13 @@ EMPTY = st.sampled_from([[], {}])
 # Int lists, with a bool or None mixed in now and then: those must not be
 # written the way a list of plain ints is.
 INT_LISTS = st.lists(INTS, max_size=6) | st.lists(INTS | st.booleans() | st.none(), max_size=6)
+# Lists of int lists, as the polygon report's vertex pairs: each item that is
+# a non-empty list of plain ints is written in one step.  Empty items, items
+# holding a bool or None, and other values are mixed in; the recursion below
+# nests these lists at every depth.
+INT_LIST_LISTS = st.lists(INT_LISTS | EMPTY | SCALARS, max_size=5)
 DOCUMENTS = st.recursive(
-    SCALARS | EMPTY | INT_LISTS,
+    SCALARS | EMPTY | INT_LISTS | INT_LIST_LISTS,
     lambda inner: st.lists(inner | EMPTY, max_size=4)
     | st.dictionaries(TEXT, inner | EMPTY, max_size=4),
     max_leaves=30,
@@ -42,15 +47,20 @@ DOCUMENTS = st.recursive(
 @example([1, True])
 @example({"b": [1, 2], "a": {"d": [], "c": {}}, "B": "\U0001d11e", "é": [[True]]})
 @example([[[]], [{}], [[1]], [[-1, 2**64]]])
+@example({"p_plus": [[1, 5], [2, 5]], "p_minus": [], "pair": [[1, 3], [2, 4]]})
+@example([[True, 1], [1, True], [[]], [], [[1]]])
+@example([[[[0, 1], [], [None, 2]], "x", [3]], {"a": [[4, -5], [True]]}])
 def test_json_text_is_json_dumps(document):
     assert _json_text(document) == json.dumps(document, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
     "document",
-    [1.0, 0.0, [1, 0.0], (1, 2), {"a": (1,)}, {1, 2}, b"x", {1: 2}, {"a": 1, 2: 3}],
+    [1.0, 0.0, [1, 0.0], (1, 2), {"a": (1,)}, {1, 2}, b"x", {1: 2}, {"a": 1, 2: 3},
+     [[1, 2], (3, 4)], [[1, 2], [3, 4.0]]],
     ids=["float", "zero-float", "float-in-int-list", "tuple", "nested-tuple",
-         "set", "bytes", "int-key", "mixed-keys"],
+         "set", "bytes", "int-key", "mixed-keys", "tuple-beside-int-list",
+         "float-in-inner-int-list"],
 )
 def test_json_text_rejects_what_json_would_change(document):
     with pytest.raises(TypeError):

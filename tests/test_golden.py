@@ -3,10 +3,11 @@
 ``golden_digests.json`` maps each command line to the sha256 of what
 ``info``, ``verify``, ``explore`` or ``typea`` prints, recorded once from a
 trusted build: JSON by default, the ``--format text`` rendering for the
-command lines that ask for it.  To record them again, run each command line
-through ``coxclusters.cli.main`` and hash its stdout.  The ``typea --n 11``
-digest must also equal the one ``perfbench/expected.json`` gates the
-benchmark on, so the tests and the benchmark guard the same bytes.
+command lines that ask for it.  ``tests/record_digests.py`` prints the
+entry of each command line it is given, hashed as this module hashes it:
+``PYTHONPATH=src python3 tests/record_digests.py "typea --n 9"``.  The
+``typea --n 11`` digest must also equal the one ``perfbench/expected.json``
+gates the benchmark on, so the tests and the benchmark guard the same bytes.
 
 The CLI JSON shows counts and records, not seeds or relations, so
 ``graph_digests.json`` maps each start seed named by
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+import record_digests
 from coxclusters import explore
 from coxclusters.cli import main
 from conftest import exchange_graph_instances, instance_seed
@@ -50,6 +52,15 @@ def test_output_digest(command, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+def test_recorder_prints_the_recorded_entries(capsys):
+    commands = ["typea --n 5", "info --type A2 --coxeter all"]
+    record_digests.main(commands)
+    printed = json.loads("{" + ",".join(capsys.readouterr().out.splitlines()) + "}")
+    assert printed == {command: DIGESTS[command] for command in commands}
+    with pytest.raises(SystemExit, match="exited with 2"):
+        record_digests.main(["typea --n 0"])
 
 
 def test_typea_digest_is_the_benchmark_digest():

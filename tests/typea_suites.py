@@ -13,14 +13,24 @@ tests call them.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 from coxclusters import typea
 from coxclusters.algebra import _fpoly_ring, explore, label_variables, universal_seed
 from coxclusters.cartan import cartan_from_label
 from coxclusters.checks import CheckResult, _result, principal_run
 from coxclusters.coxeter import PiLabel, coxeter_element, pi_set
-from coxclusters.typea import Diagonal, matrix_ring
+from coxclusters.typea import matrix_ring
 from conftest import evaluate
+
+
+class Diagonal(NamedTuple):
+    """Vertex pair a < b of the convex (n+3)-gon; boundary sides are unit
+    variables.  A tuple, so it equals and orders as the plain pair (a, b)
+    that :func:`coxclusters.typea.universal_coeff_typea` returns."""
+
+    a: int
+    b: int
 
 
 def tridiagonal(n):
@@ -257,8 +267,8 @@ def typea_universal_coefficients(n: int, cap: int = 100_000) -> list[CheckResult
         if sides != tuple(expected):
             ok = False
         # Specialization of the strip coefficients to the principal ones.
-        spec_plus = sorted(d.b - 2 for d in plus if d.a == 1)
-        spec_minus = [d for d in minus if d.a == 1]
+        spec_plus = sorted(b - 2 for a, b in plus if a == 1)
+        spec_minus = [(a, b) for a, b in minus if a == 1]
         if spec_plus != list(range(j - 1, k - 1)) or spec_minus:
             spec_ok = False
     out = [
