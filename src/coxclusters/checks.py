@@ -16,6 +16,7 @@ from .algebra import (
     ExchangeGraph,
     explore,
     extract_record,
+    g_vector_walk,
     label_variables,
     mutate,
     principal_seed,
@@ -432,9 +433,12 @@ def move_isomorphism_checks(m: CartanMatrix, c: CoxeterElement) -> list[CheckRes
 def universal_checks(
     m: CartanMatrix, c: CoxeterElement, run: PrincipalRun, cap: int
 ) -> list[CheckResult]:
-    """Explore with one generator per labelled weight and compare the harvested
-    primitive relations and the specialized seeds against the principal
-    ``run`` (:func:`principal_run`).
+    """Walk the exchange graph with one generator per labelled weight and
+    compare the harvested primitive relations and the specialized seeds
+    against the principal ``run`` (:func:`principal_run`).
+
+    The walk (:func:`g_vector_walk`) names variables by g-vector; the labels
+    come from their denominators (:func:`label_variables`) instead.
 
     Specializing to principal coefficients sends the generator of each label
     (i, 0) to y_i and every other generator to 1; on B~ that keeps the rows
@@ -442,8 +446,7 @@ def universal_checks(
     """
     name = _fmt_c(c)
     out = []
-    useed = universal_seed(m, c)
-    graph = explore(useed, cap=cap)
+    graph = g_vector_walk(universal_seed(m, c), cap)
     labels = label_variables(m, c, graph)
     harvested = {r.renamed(labels) for r in graph.primitive_relations()}
     closed = {closed_relation(pr) for pr in universal_primitive_relations(m, c)}

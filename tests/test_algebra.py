@@ -51,6 +51,7 @@ from conftest import (
     step_instances,
     weyl_degrees,
 )
+from test_integer_oracles import instance_data
 import typea_suites
 
 
@@ -272,6 +273,22 @@ def test_universal_relations_and_specialization(spec):
     run = checks.principal_run(m, c, DEFAULT_CAP)
     for res in checks.universal_checks(m, c, run, DEFAULT_CAP):
         assert res.passed, res
+
+
+@pytest.mark.parametrize("spec", ["D5", "E6"])
+def test_universal_suite_beyond_rank_four(spec):
+    """Every orientation of D5 and bipartite E6, past the rank <= 4 at which
+    ``verify`` stops running the universal suite."""
+    m = cartan_from_text(spec)
+    for c in [bipartite_element(m)] if spec == "E6" else all_coxeter_elements(m):
+        word = ",".join(str(i + 1) for i in c.order)
+        if spec == "E6":  # the principal graph the integer oracles cache
+            graph = instance_data(f"{spec} {word}")[1]
+            run = graph, records_for(m, c, graph)
+        else:
+            run = checks.principal_run(m, c, DEFAULT_CAP)
+        for res in checks.universal_checks(m, c, run, DEFAULT_CAP):
+            assert res.passed, (word, res)
 
 
 @pytest.mark.parametrize("spec", ["A2", "B3", "G2"])

@@ -175,22 +175,25 @@ def test_internal_error_exit_code(target, exc, monkeypatch, capsys):
 @pytest.mark.parametrize("command", ["info", "verify", "explore"])
 def test_no_earlier_graph_is_alive_when_the_next_is_explored(command, monkeypatch, capsys):
     """Over ``--coxeter all`` the principal run of one orientation is dropped
-    before the next orientation is explored.  A universal-coefficient walk, which
-    ``verify`` runs after the principal one, sees only the principal graph
-    of its own orientation."""
+    before the next orientation is explored.  A universal-coefficient walk
+    (``g_vector_walk``), which ``verify`` runs after the principal one, sees
+    only the principal graph of its own orientation."""
     graphs = []
-    real_explore = checks.explore
 
-    def tracked(seed, cap):
-        gc.collect()
-        alive = [ref for ref in graphs if ref() is not None]
-        principal = seed.ring.names[seed.n:] == tuple(f"y{i + 1}" for i in range(seed.n))
-        assert len(alive) == (0 if principal else 1)
-        graph = real_explore(seed, cap=cap)
-        graphs.append(weakref.ref(graph))
-        return graph
+    def tracked(walk):
+        def walked(seed, cap):
+            gc.collect()
+            alive = [ref for ref in graphs if ref() is not None]
+            principal = seed.ring.names[seed.n:] == tuple(f"y{i + 1}" for i in range(seed.n))
+            assert len(alive) == (0 if principal else 1)
+            graph = walk(seed, cap)
+            graphs.append(weakref.ref(graph))
+            return graph
 
-    monkeypatch.setattr(checks, "explore", tracked)
+        return walked
+
+    monkeypatch.setattr(checks, "explore", tracked(checks.explore))
+    monkeypatch.setattr(checks, "g_vector_walk", tracked(checks.g_vector_walk))
     assert main([command, "--type", "A2", "--coxeter", "all"]) == 0
     capsys.readouterr()
     assert len(graphs) == (4 if command == "verify" else 2)

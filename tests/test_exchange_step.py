@@ -7,9 +7,11 @@ division and numerators must give the same results, or the same
 ``InexactDivision``, on random inputs and on every step an exploration
 takes.  ``reference_explore`` walks the exchange graph with the public
 ``mutate`` and keys each seed by its whole canonical form, B~ included;
-``explore`` must return the same graph.  A counting ``poly.insort`` shows
-that the engine's divisions never insert a key into the division's key
-list, while a cancelling division does.
+``explore`` must return the same graph, and so must ``g_vector_walk``, with
+one division per variable outside the start cluster where ``explore``
+makes one per edge.  A counting ``poly.insort`` shows that the engine's
+divisions never insert a key into the division's key list, while a
+cancelling division does.
 """
 
 from bisect import insort
@@ -19,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxclusters import (
+    CapExceeded,
     InexactDivision,
     InternalCheckError,
     PolyRing,
     algebra,
+    all_coxeter_elements,
     b_matrix,
     bipartite_element,
     cartan_from_text,
@@ -34,6 +38,7 @@ from coxclusters import (
     universal_seed,
 )
 from coxclusters.algebra import (
+    DEFAULT_CAP,
     ExchangeGraph,
     Seed,
     SeedView,
@@ -42,6 +47,7 @@ from coxclusters.algebra import (
     _mutate,
     _sign_parts,
     extended_columns,
+    g_vector_walk,
     relabel_seed,
 )
 from coxclusters.poly import LaurentPoly
@@ -213,22 +219,32 @@ def test_cancelling_division_inserts_keys(monkeypatch):
     assert inserted
 
 
-def _symmetric_principal_seed():
-    """Principal coefficients over B = [[0, 1], [1, 0]], which is not
-    skew-symmetrizable, so some exchange relation is not Laurent."""
+def _symmetric_principal_seed(b):
+    """Principal coefficients over B = [[0, b], [b, 0]], which for b != 0 is
+    not skew-symmetrizable, so some exchange relation is not Laurent."""
     ring = PolyRing(("x1", "x2", "y1", "y2"))
-    columns = extended_columns(((0, 1), (1, 0)), ((1, 0), (0, 1)))
+    columns = extended_columns(((0, b), (b, 0)), ((1, 0), (0, 1)))
     return Seed(ring=ring, cluster=(ring.gen(0), ring.gen(1)), columns=columns)
 
 
 def test_explore_reports_a_non_laurent_relation():
     with pytest.raises(InternalCheckError, match="exchange relation not Laurent at seed") as info:
-        explore(_symmetric_principal_seed())
+        explore(_symmetric_principal_seed(1))
+    assert isinstance(info.value.__cause__, InexactDivision)
+
+
+def test_g_vector_walk_reports_a_non_laurent_relation():
+    """The walk divides only at a new g-vector.  With b = 2 the first
+    non-Laurent relation it meets has one; with b = 1 the walk reaches that
+    g-vector by another edge first and never divides there, since g-vectors
+    name variables only over a skew-symmetrizable B."""
+    with pytest.raises(InternalCheckError, match="exchange relation not Laurent at seed") as info:
+        g_vector_walk(_symmetric_principal_seed(2), DEFAULT_CAP)
     assert isinstance(info.value.__cause__, InexactDivision)
 
 
 def test_mutate_reports_a_non_laurent_relation():
-    seed = mutate(mutate(_symmetric_principal_seed(), 0), 1)
+    seed = mutate(mutate(_symmetric_principal_seed(1), 0), 1)
     with pytest.raises(InternalCheckError, match="exchange relation not Laurent in direction 0"):
         mutate(seed, 0)
 
@@ -371,4 +387,46 @@ def test_explore_matches_reference(data):
     c = coxeter_element(m, data.draw(st.permutations(range(m.n))))
     make = data.draw(st.sampled_from([principal_seed, universal_seed, coefficient_free_seed]))
     seed = permuted_seed(make(m, c), data.draw(st.permutations(range(m.n))))
-    assert explore(seed) == reference_explore(seed)
+    graph = explore(seed)
+    assert graph == reference_explore(seed)
+    assert g_vector_walk(seed, DEFAULT_CAP) == graph
+
+
+def _divisions(walk, seed, monkeypatch):
+    """(walk(seed, DEFAULT_CAP), the number of exact divisions it made)."""
+    exact_div = LaurentPoly.exact_div
+    calls = []
+
+    def counting(self, other):
+        calls.append(1)
+        return exact_div(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LaurentPoly, "exact_div", counting)
+        graph = walk(seed, DEFAULT_CAP)
+    return graph, len(calls)
+
+
+def test_g_vector_walk_caps_seeds_as_explore_does():
+    """A cap of exactly the number of seeds passes and one less raises."""
+    seed = instance_seed("universal B3 1,2,3")
+    size = len(explore(seed).seeds)
+    for walk in (explore, g_vector_walk):
+        assert len(walk(seed, size).seeds) == size
+        with pytest.raises(CapExceeded, match=f"seed cap {size - 1} exceeded"):
+            walk(seed, size - 1)
+
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D4", "F4"])
+def test_g_vector_walk_matches_explore_on_universal_seeds(spec, monkeypatch):
+    """The universal seed of every orientation: the walk returns the graph
+    of ``explore`` with one division per variable outside the start
+    cluster, where ``explore`` makes one per edge."""
+    m = cartan_from_text(spec)
+    for c in all_coxeter_elements(m):
+        seed = universal_seed(m, c)
+        graph, per_edge = _divisions(explore, seed, monkeypatch)
+        walked, per_variable = _divisions(g_vector_walk, seed, monkeypatch)
+        assert walked == graph, c.order
+        assert per_edge == len(graph.edges)
+        assert per_variable == len(graph.variables) - m.n
